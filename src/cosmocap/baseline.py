@@ -14,21 +14,13 @@ from .dimq import (
     DIMENSIONLESS,
     RATE,
     TIME,
-    Dimension,
-    DimensionError,
     Quantity,
     make,
+    require,
     scalar,
 )
 
 __all__ = ["FleetSpec", "default_fleet", "fleet_bits", "fleet_ops", "historical_ops"]
-
-
-def _require(q: Quantity, dim: Dimension, what: str, *, allow_zero: bool = False) -> None:
-    if q.dimension != dim:
-        raise DimensionError(f"{what} has the wrong dimension", q.dimension, dim)
-    if q.sign < 0 or (q.sign == 0 and not allow_zero):
-        raise ValueError(f"{what} must be {'>= 0' if allow_zero else '> 0'}")
 
 
 @dataclass(frozen=True)
@@ -43,11 +35,11 @@ class FleetSpec:
 
     def __post_init__(self) -> None:
         # an empty fleet is legal and computes nothing
-        _require(self.n_computers, DIMENSIONLESS, "n_computers", allow_zero=True)
-        _require(self.clock_rate, RATE, "clock_rate")
-        _require(self.ops_per_cycle, DIMENSIONLESS, "ops_per_cycle")
-        _require(self.duration, TIME, "duration")
-        _require(self.bits_per_computer, DIMENSIONLESS, "bits_per_computer")
+        require(self.n_computers, DIMENSIONLESS, "n_computers", allow_zero=True)
+        require(self.clock_rate, RATE, "clock_rate")
+        require(self.ops_per_cycle, DIMENSIONLESS, "ops_per_cycle")
+        require(self.duration, TIME, "duration")
+        require(self.bits_per_computer, DIMENSIONLESS, "bits_per_computer")
 
     @staticmethod
     def from_counts(

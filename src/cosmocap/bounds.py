@@ -33,9 +33,8 @@ from .dimq import (
     ENTROPY,
     LENGTH,
     ONE,
-    Dimension,
-    DimensionError,
     Quantity,
+    require,
     scalar,
 )
 
@@ -57,16 +56,9 @@ _LN2 = math.log(2.0)
 _BEKENSTEIN_EPS = 1e-9
 
 
-def _require(q: Quantity, dim: Dimension, what: str, *, allow_zero: bool = False) -> None:
-    if q.dimension != dim:
-        raise DimensionError(f"{what} has the wrong dimension", q.dimension, dim)
-    if q.sign < 0 or (q.sign == 0 and not allow_zero):
-        raise ValueError(f"{what} must be {'>= 0' if allow_zero else '> 0'}")
-
-
 def max_ops_per_sec(energy: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
     """2E/(pi hbar): the fastest any state of mean energy E can evolve."""
-    _require(energy, ENERGY, "energy")
+    require(energy, ENERGY, "energy")
     return scalar(2.0 / math.pi) * energy / get(profile, "hbar")
 
 
@@ -78,7 +70,7 @@ def min_flip_time(energy: Quantity, profile: ConstantsProfile = PAPER) -> Quanti
 
 def max_bits(entropy: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
     """S/(k_B ln 2).  Zero entropy is a legal, zero-bit register."""
-    _require(entropy, ENTROPY, "entropy", allow_zero=True)
+    require(entropy, ENTROPY, "entropy", allow_zero=True)
     return entropy / (get(profile, "k_B") * scalar(_LN2))
 
 
@@ -91,8 +83,8 @@ def max_io_rate(
     counts nats/s-like units rather than bits/s.  Callers wanting bits/s
     divide by ln 2 themselves.
     """
-    _require(entropy, ENTROPY, "entropy", allow_zero=True)
-    _require(radius, LENGTH, "radius")
+    require(entropy, ENTROPY, "entropy", allow_zero=True)
+    require(radius, LENGTH, "radius")
     c, k_b = get(profile, "c"), get(profile, "k_B")
     return c * entropy / (k_b * radius)
 
@@ -114,9 +106,9 @@ def bekenstein_ratio(
     Equality at 1/(2 pi) is the black-hole case and is not flagged; the
     flag trips only below (1/(2 pi)) x (1 - 1e-9).
     """
-    _require(energy, ENERGY, "energy")
-    _require(radius, LENGTH, "radius")
-    _require(entropy, ENTROPY, "entropy")
+    require(energy, ENERGY, "energy")
+    require(radius, LENGTH, "radius")
+    require(entropy, ENTROPY, "entropy")
     hbar, c, k_b = get(profile, "hbar"), get(profile, "c"), get(profile, "k_B")
     ratio = k_b * energy * radius / (hbar * c * entropy)
     assert ratio.dimension == DIMENSIONLESS
@@ -126,7 +118,7 @@ def bekenstein_ratio(
 
 def holographic_bits(area: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
     """area/l_P^2, the surface-area cap on distinguishable bits."""
-    _require(area, AREA, "area")
+    require(area, AREA, "area")
     return area / planck_length(profile) ** 2
 
 
@@ -143,11 +135,11 @@ class SystemSpec:
     area: Optional[Quantity] = None
 
     def __post_init__(self) -> None:
-        _require(self.energy, ENERGY, "energy")
-        _require(self.entropy, ENTROPY, "entropy")
-        _require(self.radius, LENGTH, "radius")
+        require(self.energy, ENERGY, "energy")
+        require(self.entropy, ENTROPY, "entropy")
+        require(self.radius, LENGTH, "radius")
         if self.area is not None:
-            _require(self.area, AREA, "area")
+            require(self.area, AREA, "area")
 
     def effective_area(self) -> Quantity:
         return self.area if self.area is not None else self.radius**2

@@ -5,6 +5,11 @@ constants, manmade.  Output is deterministic: fixed key order, log10
 printed with two decimals, small numbers in scientific notation with
 four significant digits.  Exit codes: 0 success, 2 bad usage or
 unparseable input, 3 domain error (an input the physics rejects).
+
+Each command returns one table: a header line and a list of rows.  The
+text renderer prints the header and every row's template; the JSON
+renderer collects every keyed cell, in row order, under ``"schema": 1``.
+So a value shown both ways is written once.
 """
 
 from __future__ import annotations
@@ -13,13 +18,13 @@ import argparse
 import json
 import math
 import sys
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from . import baseline, cosmo
 from .constants import (
-    CODATA,
-    PAPER,
+    REQUIRED_DIMS,
     ConstantsProfile,
+    builtin_profile,
     fine_structure_inverse,
     get,
     load_profile,
@@ -55,35 +60,15 @@ _RESIDUAL_TOL = 1e-9
 
 _SCENARIO_KEYS = frozenset(
     {
-        "rho_kg_m3",
-        "age_years",
-        "hubble_per_s",
-        "include_gravity",
-        "constants_profile",
-        "species",
-        "inflation_growth_log10",
-        "fleet",
+        "rho_kg_m3", "age_years", "hubble_per_s", "include_gravity",
+        "constants_profile", "species", "inflation_growth_log10", "fleet",
     }
 )
-_SPECIES_KEYS = frozenset(
-    {"name", "polarizations", "particle_antiparticle", "statistics"}
-)
+_SPECIES_KEYS = frozenset({"name", "polarizations", "particle_antiparticle", "statistics"})
 _FLEET_KEYS = frozenset(
     {"n_computers", "clock_rate_hz", "ops_per_cycle", "duration_s", "bits_per_computer"}
 )
 _GROWTH_KEYS = frozenset({"center", "halfwidth"})
-
-_CONSTANT_ORDER = (
-    "hbar",
-    "c",
-    "G",
-    "k_B",
-    "m_e",
-    "m_p",
-    "e2",
-    "year_seconds",
-    "GeV_joules",
-)
 
 
 class UsageError(Exception):
@@ -93,11 +78,55 @@ class UsageError(Exception):
 # ---------------------------------------------------------------- rendering
 
 
-def _fmt(q: Quantity) -> str:
-    return str(q)
+class Cell(NamedTuple):
+    """One output value.
+
+    ``key`` is ``"name"`` or ``"section.name"`` in the JSON document
+    (the name may itself hold dots); None shows the value in text only.
+    ``style`` turns the value into its text; None formats it as is.
+    """
+
+    key: Optional[str]
+    value: object
+    style: Optional[Callable[[object], str]] = None
 
 
-def _fmt_headline(q: Quantity) -> str:
+class Row(NamedTuple):
+    """A ``str.format`` template with one ``{}`` per cell; None: JSON only.
+
+    Templates are literals, so user strings only ever arrive as cells.
+    """
+
+    text: Optional[str]
+    cells: tuple[Cell, ...]
+
+
+Table = tuple[str, list[Row]]
+
+
+def _row(text: Optional[str], *cells: tuple, shown: bool = True) -> Row:
+    """A row of cells given as (key, value) or (key, value, style) tuples.
+
+    With ``shown`` false the row is JSON only.
+    """
+    return Row(text if shown else None, tuple(Cell(*c) for c in cells))
+
+
+def _text(text: str, *values: object) -> Row:
+    """A text-only row."""
+    return Row(text, tuple(Cell(None, v) for v in values))
+
+
+def _residual_holds(r: Quantity) -> bool:
+    """The identity verdict shared by text and JSON: r within _RESIDUAL_TOL of 1.
+
+    A residual a decade or more from 1 fails before to_value is asked
+    for a magnitude that may not fit in a float.
+    """
+    return abs(r.log10) < 1 and abs(r.to_value() - 1.0) <= _RESIDUAL_TOL
+
+
+def _headline(q: Quantity) -> str:
     """Big dimensionless counts get an order-of-magnitude gloss."""
     body = str(q)
     if q.sign == 1 and q.dimension.is_dimensionless and abs(q.log10) >= 15:
@@ -105,33 +134,56 @@ def _fmt_headline(q: Quantity) -> str:
     return body
 
 
-def _fmt_residual(r: Quantity, *, mark_fail: bool) -> str:
-    body = str(r)
-    if abs(r.to_value() - 1.0) <= _RESIDUAL_TOL:
-        return f"{body} PASS"
-    return f"{body} FAIL" if mark_fail else body
+def _residual(r: Quantity) -> str:
+    return f"{r} PASS" if _residual_holds(r) else str(r)
 
 
-def _interval_to_jsonable(iv: LogInterval) -> dict[str, object]:
-    return {
-        "center": iv.center,
-        "halfwidth": iv.halfwidth,
-        "dims": dimension_to_mapping(iv.dimension),
-    }
+def _residual_or_fail(r: Quantity) -> str:
+    return f"{r} {'PASS' if _residual_holds(r) else 'FAIL'}"
 
 
-def _dumps(obj: object) -> str:
-    return json.dumps(obj, indent=2)
+def _one_decimal(q: Quantity) -> str:
+    return f"{q.to_value():.1f}"
+
+
+def _render_text(header: str, rows: list[Row]) -> str:
+    lines = [header]
+    for row in rows:
+        if row.text is not None:
+            shown = (c.value if c.style is None else c.style(c.value) for c in row.cells)
+            lines.append(row.text.format(*shown))
+    return "\n".join(lines)
+
+
+def _jsonable(value: object) -> object:
+    if isinstance(value, Quantity):
+        return quantity_to_jsonable(value)
+    if isinstance(value, LogInterval):
+        dims = dimension_to_mapping(value.dimension)
+        return {"center": value.center, "halfwidth": value.halfwidth, "dims": dims}
+    return value
+
+
+def _render_json(rows: list[Row]) -> str:
+    doc: dict[str, object] = {"schema": 1}
+    for row in rows:
+        for cell in row.cells:
+            if cell.key is None:
+                continue
+            section, dot, name = cell.key.partition(".")
+            target = doc.setdefault(section, {}) if dot else doc
+            target[name if dot else section] = _jsonable(cell.value)
+    return json.dumps(doc, indent=2)
 
 
 # ---------------------------------------------------------------- loading
 
 
 def _resolve_profile(name: str) -> ConstantsProfile:
-    if name == "paper":
-        return PAPER
-    if name == "codata":
-        return CODATA
+    try:
+        return builtin_profile(name)
+    except KeyError:
+        pass
     try:
         return load_profile(name)
     except OSError:
@@ -141,6 +193,14 @@ def _resolve_profile(name: str) -> ConstantsProfile:
         ) from None
     except (ValueError, json.JSONDecodeError) as exc:
         raise UsageError(f"bad profile file {name!r}: {exc}") from None
+
+
+def _profile_from_flag(args: argparse.Namespace) -> ConstantsProfile:
+    return _resolve_profile(args.profile if args.profile is not None else "paper")
+
+
+def _age_from_years(years: float, profile: ConstantsProfile) -> Quantity:
+    return make(years) * get(profile, "year_seconds")
 
 
 def _load_document(path: str) -> Mapping[str, object]:
@@ -158,13 +218,21 @@ def _load_document(path: str) -> Mapping[str, object]:
     return doc
 
 
+def _reject_unknown(raw: Mapping[str, object], allowed: frozenset, what: str) -> None:
+    unknown = sorted(set(raw) - allowed)
+    if unknown:
+        raise UsageError(f"unknown {what} key: {unknown[0]!r}")
+
+
+def _number(value: object, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise UsageError(f"{what} must be a number")
+    return float(value)
+
+
 def _get_number(doc: Mapping[str, object], key: str, default: Optional[float]) -> Optional[float]:
     value = doc.get(key, default)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise UsageError(f"scenario key {key!r} must be a number")
-    return float(value)
+    return None if value is None else _number(value, f"scenario key {key!r}")
 
 
 def _parse_species(raw: object) -> cosmo.SpeciesTable:
@@ -174,9 +242,7 @@ def _parse_species(raw: object) -> cosmo.SpeciesTable:
     for i, entry in enumerate(raw):
         if not isinstance(entry, Mapping):
             raise UsageError(f"species[{i}] must be an object")
-        unknown = sorted(set(entry) - _SPECIES_KEYS)
-        if unknown:
-            raise UsageError(f"unknown species key: {unknown[0]!r}")
+        _reject_unknown(entry, _SPECIES_KEYS, "species")
         missing = sorted(_SPECIES_KEYS - set(entry))
         if missing:
             raise UsageError(f"species[{i}] missing key: {missing[0]!r}")
@@ -199,44 +265,26 @@ def _parse_species(raw: object) -> cosmo.SpeciesTable:
 def _parse_growth(raw: object) -> LogInterval:
     if not isinstance(raw, Mapping):
         raise UsageError("scenario key 'inflation_growth_log10' must be an object")
-    unknown = sorted(set(raw) - _GROWTH_KEYS)
-    if unknown:
-        raise UsageError(f"unknown inflation_growth_log10 key: {unknown[0]!r}")
-    center = raw.get("center")
-    halfwidth = raw.get("halfwidth")
-    for label, v in (("center", center), ("halfwidth", halfwidth)):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise UsageError(f"inflation_growth_log10.{label} must be a number")
-    return LogInterval(float(center), float(halfwidth))
+    _reject_unknown(raw, _GROWTH_KEYS, "inflation_growth_log10")
+    center, halfwidth = (
+        _number(raw.get(k), f"inflation_growth_log10.{k}") for k in ("center", "halfwidth")
+    )
+    return LogInterval(center, halfwidth)
 
 
 def _parse_fleet(raw: object) -> baseline.FleetSpec:
     if not isinstance(raw, Mapping):
         raise UsageError("scenario key 'fleet' must be an object")
-    unknown = sorted(set(raw) - _FLEET_KEYS)
-    if unknown:
-        raise UsageError(f"unknown fleet key: {unknown[0]!r}")
-    values = {}
-    for key in sorted(_FLEET_KEYS):
-        v = raw.get(key)
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise UsageError(f"fleet.{key} must be a number")
-        values[key] = float(v)
-    return baseline.FleetSpec.from_counts(
-        values["n_computers"],
-        values["clock_rate_hz"],
-        values["ops_per_cycle"],
-        values["duration_s"],
-        values["bits_per_computer"],
-    )
+    _reject_unknown(raw, _FLEET_KEYS, "fleet")
+    # the keys are from_counts' parameter names
+    counts = {key: _number(raw.get(key), f"fleet.{key}") for key in sorted(_FLEET_KEYS)}
+    return baseline.FleetSpec.from_counts(**counts)
 
 
 def _build_scenario(
     doc: Mapping[str, object], profile_flag: Optional[str]
 ) -> tuple[cosmo.Scenario, baseline.FleetSpec]:
-    unknown = sorted(set(doc) - _SCENARIO_KEYS)
-    if unknown:
-        raise UsageError(f"unknown scenario key: {unknown[0]!r}")
+    _reject_unknown(doc, _SCENARIO_KEYS, "scenario")
 
     profile_name = profile_flag
     if profile_name is None:
@@ -254,21 +302,16 @@ def _build_scenario(
     if not isinstance(include_gravity, bool):
         raise UsageError("scenario key 'include_gravity' must be true or false")
 
-    species = cosmo.PHOTONS_ONLY
-    if doc.get("species") is not None:
-        species = _parse_species(doc["species"])
-
-    growth = None
-    if doc.get("inflation_growth_log10") is not None:
-        growth = _parse_growth(doc["inflation_growth_log10"])
-
-    fleet = baseline.default_fleet()
-    if doc.get("fleet") is not None:
-        fleet = _parse_fleet(doc["fleet"])
+    raw_species, raw_growth, raw_fleet = (
+        doc.get(key) for key in ("species", "inflation_growth_log10", "fleet")
+    )
+    species = cosmo.PHOTONS_ONLY if raw_species is None else _parse_species(raw_species)
+    growth = None if raw_growth is None else _parse_growth(raw_growth)
+    fleet = baseline.default_fleet() if raw_fleet is None else _parse_fleet(raw_fleet)
 
     scenario = cosmo.Scenario(
         rho=make(rho_v, MASS_DENSITY),
-        age=make(age_years) * get(profile, "year_seconds"),
+        age=_age_from_years(age_years, profile),
         hubble=None if hubble_v is None else make(hubble_v, RATE),
         species=species,
         include_gravity=include_gravity,
@@ -281,172 +324,87 @@ def _build_scenario(
 # ---------------------------------------------------------------- report
 
 
-def _large_numbers_json(report: "cosmo.CapacityReport") -> dict[str, object]:
-    ln = report.large_numbers
-    return {
-        "alpha": quantity_to_jsonable(ln.alpha),
-        "beta": quantity_to_jsonable(ln.beta),
-        "gamma": quantity_to_jsonable(ln.gamma),
-        "r1": quantity_to_jsonable(ln.r1),
-        "r2": quantity_to_jsonable(ln.r2),
-        "r3": quantity_to_jsonable(ln.r3),
-    }
-
-
-def _report_json(
-    report: "cosmo.CapacityReport", ops: Quantity, bits: Quantity
-) -> dict[str, object]:
-    infl = report.inflation
-    return {
-        "schema": 1,
-        "ops_matter": quantity_to_jsonable(report.ops_matter),
-        "ops_critical": quantity_to_jsonable(report.ops_critical),
-        "bits_matter": quantity_to_jsonable(report.bits_matter),
-        "bits_holographic": quantity_to_jsonable(report.bits_holographic),
-        "blackbody_T": quantity_to_jsonable(report.blackbody_T),
-        "large_numbers": _large_numbers_json(report),
-        "inflation": {
-            "ops_per_sec": quantity_to_jsonable(infl.ops_per_sec),
-            "ops_per_hubble_time": quantity_to_jsonable(infl.ops_per_hubble_time),
-            "bits_horizon": quantity_to_jsonable(infl.bits_horizon),
-            "total_ops": (
-                None
-                if report.inflation_total_ops is None
-                else _interval_to_jsonable(report.inflation_total_ops)
-            ),
-        },
-        "fleet": {
-            "ops": quantity_to_jsonable(ops),
-            "bits": quantity_to_jsonable(bits),
-        },
-    }
-
-
-def _consistency_line(label: str, a: Quantity, b: Quantity, tol: float) -> str:
-    gap = abs(a.log10 - b.log10)
-    verdict = "OK" if gap <= tol else "MISMATCH"
-    return f"consistency: {label}: {verdict} (gap {gap:.2f} decades, tolerance {tol:.2f})"
-
-
-def _report_text(
-    scenario: cosmo.Scenario,
-    report: "cosmo.CapacityReport",
-    fleet_ops: Quantity,
-    fleet_bits: Quantity,
-    tol: float,
-) -> list[str]:
-    ln = report.large_numbers
-    infl = report.inflation
-    species_names = ", ".join(s.name for s in scenario.species.entries)
-    lines = [
-        f"capacity report (profile: {scenario.profile.name})",
-        f"scenario: rho {_fmt(scenario.rho)}, age {_fmt(scenario.age)}, H {_fmt(scenario.hubble)}",
-        f"species: {species_names} (total weight {scenario.species.total_weight()})",
-        f"gravity factor: {'on' if scenario.include_gravity else 'off'}",
-        f"ops (matter):       {_fmt_headline(report.ops_matter)}",
-        f"ops (critical):     {_fmt_headline(report.ops_critical)}",
-        f"ops (with gravity): {_fmt_headline(report.ops_with_gravity)}",
-        f"bits (matter):      {_fmt_headline(report.bits_matter)}",
-        f"bits (holographic): {_fmt_headline(report.bits_holographic)}",
-        f"blackbody T:        {_fmt(report.blackbody_T)}",
-        f"entropy (horizon):  {_fmt(report.entropy_total)}",
-        f"matter/radiation transition: {_fmt(report.matter_radiation_transition)}",
-        f"large numbers: alpha {_fmt(ln.alpha)}, beta {_fmt(ln.beta)}, gamma {_fmt(ln.gamma)}",
-        (
-            f"residuals: r1 {_fmt_residual(ln.r1, mark_fail=False)}, "
-            f"r2 {_fmt_residual(ln.r2, mark_fail=True)}, "
-            f"r3 {_fmt_residual(ln.r3, mark_fail=False)}"
-        ),
-        (
-            f"inflation: ops/s {_fmt(infl.ops_per_sec)}, "
-            f"per Hubble time {_fmt(infl.ops_per_hubble_time)}, "
-            f"bits in horizon {_fmt(infl.bits_horizon)}"
-        ),
-    ]
-    if report.inflation_total_ops is not None:
-        lines.append(f"inflation total ops: {report.inflation_total_ops}")
-    lines.append(
-        f"fleet baseline: ops {_fmt_headline(fleet_ops)}, bits {_fmt_headline(fleet_bits)}"
-    )
-    lines.append(
-        _consistency_line(
-            "inflation ops per Hubble vs critical ops",
-            infl.ops_per_hubble_time,
-            report.ops_critical,
-            tol,
-        )
-    )
-    lines.append(
-        _consistency_line(
-            "holographic bits vs critical ops",
-            report.bits_holographic,
-            report.ops_critical,
-            tol,
-        )
-    )
-    return lines
-
-
-def cmd_report(args: argparse.Namespace) -> list[str]:
+def cmd_report(args: argparse.Namespace) -> Table:
     if args.scenario is not None and args.default_paper:
         raise UsageError("give either a scenario file or --default-paper, not both")
     if args.scenario is None and not args.default_paper:
         raise UsageError("give a scenario file or --default-paper")
-    doc: Mapping[str, object] = {}
-    if args.scenario is not None:
-        doc = _load_document(args.scenario)
+    doc = {} if args.scenario is None else _load_document(args.scenario)
     scenario, fleet = _build_scenario(doc, args.profile)
     report = cosmo.full_report(scenario)
-    ops = baseline.fleet_ops(fleet)
-    bits = baseline.fleet_bits(fleet)
-    if args.as_json:
-        return [_dumps(_report_json(report, ops, bits))]
-    return _report_text(scenario, report, ops, bits, args.tolerance_decades)
+    ln, infl, total = report.large_numbers, report.inflation, report.inflation_total_ops
+    names = ", ".join(s.name for s in scenario.species.entries)
+    rows = [
+        _text("scenario: rho {}, age {}, H {}", scenario.rho, scenario.age, scenario.hubble),
+        _text("species: {} (total weight {})", names, scenario.species.total_weight()),
+        _text("gravity factor: {}", "on" if scenario.include_gravity else "off"),
+        _row("ops (matter):       {}", ("ops_matter", report.ops_matter, _headline)),
+        _row("ops (critical):     {}", ("ops_critical", report.ops_critical, _headline)),
+        _row("ops (with gravity): {}", (None, report.ops_with_gravity, _headline)),
+        _row("bits (matter):      {}", ("bits_matter", report.bits_matter, _headline)),
+        _row("bits (holographic): {}", ("bits_holographic", report.bits_holographic, _headline)),
+        _row("blackbody T:        {}", ("blackbody_T", report.blackbody_T)),
+        _text("entropy (horizon):  {}", report.entropy_total),
+        _text("matter/radiation transition: {}", report.matter_radiation_transition),
+        _row(
+            "large numbers: alpha {}, beta {}, gamma {}",
+            ("large_numbers.alpha", ln.alpha),
+            ("large_numbers.beta", ln.beta),
+            ("large_numbers.gamma", ln.gamma),
+        ),
+        _row(
+            "residuals: r1 {}, r2 {}, r3 {}",
+            ("large_numbers.r1", ln.r1, _residual),
+            ("large_numbers.r2", ln.r2, _residual_or_fail),
+            ("large_numbers.r3", ln.r3, _residual),
+        ),
+        _row(
+            "inflation: ops/s {}, per Hubble time {}, bits in horizon {}",
+            ("inflation.ops_per_sec", infl.ops_per_sec),
+            ("inflation.ops_per_hubble_time", infl.ops_per_hubble_time),
+            ("inflation.bits_horizon", infl.bits_horizon),
+        ),
+        _row("inflation total ops: {}", ("inflation.total_ops", total), shown=total is not None),
+        _row(
+            "fleet baseline: ops {}, bits {}",
+            ("fleet.ops", baseline.fleet_ops(fleet), _headline),
+            ("fleet.bits", baseline.fleet_bits(fleet), _headline),
+        ),
+    ]
+    tol = args.tolerance_decades
+    for label, a in (
+        ("inflation ops per Hubble vs critical ops", infl.ops_per_hubble_time),
+        ("holographic bits vs critical ops", report.bits_holographic),
+    ):
+        gap = abs(a.log10 - report.ops_critical.log10)
+        verdict = "OK" if gap <= tol else "MISMATCH"
+        template = "consistency: {}: {} (gap {:.2f} decades, tolerance {:.2f})"
+        rows.append(_text(template, label, verdict, gap, tol))
+    return f"capacity report (profile: {scenario.profile.name})", rows
 
 
 # ---------------------------------------------------------------- epochs
 
 
-def _profile_from_flag(args: argparse.Namespace) -> ConstantsProfile:
-    return _resolve_profile(args.profile if args.profile is not None else "paper")
-
-
-def _age_from_years(years: float, profile: ConstantsProfile) -> Quantity:
-    return make(years) * get(profile, "year_seconds")
-
-
-def cmd_epoch_matter(args: argparse.Namespace) -> list[str]:
+def cmd_epoch_matter(args: argparse.Namespace) -> Table:
     profile = _profile_from_flag(args)
     rho = make(args.rho, MASS_DENSITY)
     age = _age_from_years(args.age_years, profile)
-    ops = cosmo.ops_matter(rho, age, profile)
-    ops_c = cosmo.ops_critical(age, profile)
+    ops, ops_c = cosmo.ops_matter(rho, age, profile), cosmo.ops_critical(age, profile)
     bits = cosmo.bits_matter(rho, age, cosmo.PHOTONS_ONLY, profile)
     bits_h = cosmo.bits_holographic(age, profile)
-    if args.as_json:
-        return [
-            _dumps(
-                {
-                    "schema": 1,
-                    "epoch": "matter",
-                    "ops_matter": quantity_to_jsonable(ops),
-                    "ops_critical": quantity_to_jsonable(ops_c),
-                    "bits_matter": quantity_to_jsonable(bits),
-                    "bits_holographic": quantity_to_jsonable(bits_h),
-                }
-            )
-        ]
-    return [
-        f"matter epoch (profile: {profile.name})",
-        f"rho: {_fmt(rho)}, age: {_fmt(age)}",
-        f"ops (matter):       {_fmt_headline(ops)}",
-        f"ops (critical):     {_fmt_headline(ops_c)}",
-        f"bits (matter):      {_fmt_headline(bits)}",
-        f"bits (holographic): {_fmt_headline(bits_h)}",
+    rows = [
+        _row(None, ("epoch", "matter")),
+        _text("rho: {}, age: {}", rho, age),
+        _row("ops (matter):       {}", ("ops_matter", ops, _headline)),
+        _row("ops (critical):     {}", ("ops_critical", ops_c, _headline)),
+        _row("bits (matter):      {}", ("bits_matter", bits, _headline)),
+        _row("bits (holographic): {}", ("bits_holographic", bits_h, _headline)),
     ]
+    return f"matter epoch (profile: {profile.name})", rows
 
 
-def cmd_epoch_radiation(args: argparse.Namespace) -> list[str]:
+def cmd_epoch_radiation(args: argparse.Namespace) -> Table:
     profile = _profile_from_flag(args)
     if args.e1_joules is not None:
         e1 = make(args.e1_joules, ENERGY)
@@ -457,102 +415,56 @@ def cmd_epoch_radiation(args: argparse.Namespace) -> list[str]:
     t1 = make(args.t1, TIME)
     t0 = make(args.t0, TIME)
     ops = cosmo.ops_radiation(e1, t1, t0, profile)
-    energy_at_t0 = None
-    if t0.sign > 0:
-        energy_at_t0 = cosmo.radiation_energy_at(e1, t1, t0)
+    energy_at_t0 = cosmo.radiation_energy_at(e1, t1, t0) if t0.sign > 0 else None
 
-    bits = None
+    bits = hot = None
     if args.temperature_k is not None:
         temperature = make(args.temperature_k, TEMPERATURE)
-        bits = cosmo.bits_radiation(e1, temperature, cosmo.PHOTONS_ONLY, profile)
-
-    if args.as_json:
-        return [
-            _dumps(
-                {
-                    "schema": 1,
-                    "epoch": "radiation",
-                    "ops": quantity_to_jsonable(ops),
-                    "energy_at_t1": quantity_to_jsonable(e1),
-                    "energy_at_t0": (
-                        None if energy_at_t0 is None else quantity_to_jsonable(energy_at_t0)
-                    ),
-                    "bits": None if bits is None else quantity_to_jsonable(bits.bits),
-                    "above_gut_threshold": (
-                        None if bits is None else bits.above_gut_threshold
-                    ),
-                }
-            )
-        ]
-    lines = [
-        f"radiation epoch (profile: {profile.name})",
-        f"E at t1: {_fmt(e1)}",
+        rad = cosmo.bits_radiation(e1, temperature, cosmo.PHOTONS_ONLY, profile)
+        bits, hot = rad.bits, rad.above_gut_threshold
+    warning = (
+        "warning: k_B T above the grand-unification threshold; "
+        "species weights are guesswork up there"
+    )
+    rows = [
+        # JSON puts ops before the energies; text prints it after them
+        _row(None, ("epoch", "radiation"), ("ops", ops)),
+        _row("E at t1: {}", ("energy_at_t1", e1)),
+        _row(
+            "E at t0: unbounded as t0 -> 0" if energy_at_t0 is None else "E at t0: {}",
+            ("energy_at_t0", energy_at_t0),
+        ),
+        _row("ops: {}", (None, ops, _headline)),
+        _row("bits: {}", ("bits", bits, _headline), shown=bits is not None),
+        _row(warning, ("above_gut_threshold", hot), shown=bool(hot)),
     ]
-    if energy_at_t0 is None:
-        lines.append("E at t0: unbounded as t0 -> 0")
-    else:
-        lines.append(f"E at t0: {_fmt(energy_at_t0)}")
-    lines.append(f"ops: {_fmt_headline(ops)}")
-    if bits is not None:
-        lines.append(f"bits: {_fmt_headline(bits.bits)}")
-        if bits.above_gut_threshold:
-            lines.append(
-                "warning: k_B T above the grand-unification threshold; "
-                "species weights are guesswork up there"
-            )
-    return lines
+    return f"radiation epoch (profile: {profile.name})", rows
 
 
-def cmd_epoch_inflation(args: argparse.Namespace) -> list[str]:
+def cmd_epoch_inflation(args: argparse.Namespace) -> Table:
     profile = _profile_from_flag(args)
     if args.hubble is None and args.growth is None:
         raise UsageError("inflation needs --H, --growth, or both")
-    bounds_rec = None
-    if args.hubble is not None:
-        bounds_rec = cosmo.inflation_bounds(make(args.hubble, RATE), profile)
-    total = None
-    if args.growth is not None:
-        total = cosmo.inflation_total_ops(args.growth)
-
-    if args.as_json:
-        return [
-            _dumps(
-                {
-                    "schema": 1,
-                    "epoch": "inflation",
-                    "ops_per_sec": (
-                        None
-                        if bounds_rec is None
-                        else quantity_to_jsonable(bounds_rec.ops_per_sec)
-                    ),
-                    "ops_per_hubble_time": (
-                        None
-                        if bounds_rec is None
-                        else quantity_to_jsonable(bounds_rec.ops_per_hubble_time)
-                    ),
-                    "bits_horizon": (
-                        None
-                        if bounds_rec is None
-                        else quantity_to_jsonable(bounds_rec.bits_horizon)
-                    ),
-                    "total_ops": None if total is None else _interval_to_jsonable(total),
-                }
-            )
-        ]
-    lines = [f"inflation epoch (profile: {profile.name})"]
-    if bounds_rec is not None:
-        lines.append(f"ops/s: {_fmt_headline(bounds_rec.ops_per_sec)}")
-        lines.append(f"ops per Hubble time: {_fmt_headline(bounds_rec.ops_per_hubble_time)}")
-        lines.append(f"bits in horizon: {_fmt_headline(bounds_rec.bits_horizon)}")
-    if total is not None:
-        lines.append(f"total ops across growth: {total}")
-    return lines
+    rec = None if args.hubble is None else cosmo.inflation_bounds(make(args.hubble, RATE), profile)
+    total = None if args.growth is None else cosmo.inflation_total_ops(args.growth)
+    rows = [_row(None, ("epoch", "inflation"))]
+    for key, label in (
+        ("ops_per_sec", "ops/s: {}"),
+        ("ops_per_hubble_time", "ops per Hubble time: {}"),
+        ("bits_horizon", "bits in horizon: {}"),
+    ):
+        value = None if rec is None else getattr(rec, key)
+        rows.append(_row(label, (key, value, _headline), shown=rec is not None))
+    rows.append(
+        _row("total ops across growth: {}", ("total_ops", total), shown=total is not None)
+    )
+    return f"inflation epoch (profile: {profile.name})", rows
 
 
 # ---------------------------------------------------------------- others
 
 
-def cmd_large_numbers(args: argparse.Namespace) -> list[str]:
+def cmd_large_numbers(args: argparse.Namespace) -> Table:
     profile = _profile_from_flag(args)
     age = _age_from_years(args.age_years, profile)
     if args.rho is not None:
@@ -561,112 +473,52 @@ def cmd_large_numbers(args: argparse.Namespace) -> list[str]:
         # default: critical density, where all three residuals sit at 1
         rho = cosmo.critical_density(ONE / age, "approx", profile)
     report = identities(rho, age, profile)
-    if args.as_json:
-        return [
-            _dumps(
-                {
-                    "schema": 1,
-                    "alpha": quantity_to_jsonable(report.alpha),
-                    "beta": quantity_to_jsonable(report.beta),
-                    "gamma": quantity_to_jsonable(report.gamma),
-                    "r1": quantity_to_jsonable(report.r1),
-                    "r2": quantity_to_jsonable(report.r2),
-                    "r3": quantity_to_jsonable(report.r3),
-                    "pass": {
-                        "r1": abs(report.r1.to_value() - 1.0) <= _RESIDUAL_TOL,
-                        "r2": abs(report.r2.to_value() - 1.0) <= _RESIDUAL_TOL,
-                        "r3": abs(report.r3.to_value() - 1.0) <= _RESIDUAL_TOL,
-                    },
-                }
-            )
-        ]
-    return [
-        f"large numbers (profile: {profile.name})",
-        f"rho: {_fmt(rho)}, age: {_fmt(age)}",
-        f"alpha: {_fmt(report.alpha)}",
-        f"beta:  {_fmt(report.beta)}",
-        f"gamma: {_fmt(report.gamma)}",
-        f"r1: {_fmt_residual(report.r1, mark_fail=False)}",
-        f"r2: {_fmt_residual(report.r2, mark_fail=True)}",
-        f"r3: {_fmt_residual(report.r3, mark_fail=False)}",
+    residuals = ("r1", "r2", "r3")
+    rows = [
+        _text("rho: {}, age: {}", rho, age),
+        _row("alpha: {}", ("alpha", report.alpha)),
+        _row("beta:  {}", ("beta", report.beta)),
+        _row("gamma: {}", ("gamma", report.gamma)),
+        _row("r1: {}", ("r1", report.r1, _residual)),
+        _row("r2: {}", ("r2", report.r2, _residual_or_fail)),
+        _row("r3: {}", ("r3", report.r3, _residual)),
+        _row(None, *((f"pass.{r}", _residual_holds(getattr(report, r))) for r in residuals)),
     ]
+    return f"large numbers (profile: {profile.name})", rows
 
 
-def cmd_constants(args: argparse.Namespace) -> list[str]:
-    name = args.name
-    if name is None:
-        name = args.profile if args.profile is not None else "paper"
-    profile = _resolve_profile(name)
-    t_p = planck_time(profile)
-    l_p = planck_length(profile)
+def cmd_constants(args: argparse.Namespace) -> Table:
+    # a positional profile name wins over --profile
+    profile = _profile_from_flag(args) if args.name is None else _resolve_profile(args.name)
+    rows = [_row(None, ("name", profile.name))]
+    # required constants in registry order, then a profile file's extras
+    for cid in [*REQUIRED_DIMS, *sorted(set(profile.constants) - set(REQUIRED_DIMS))]:
+        rows.append(_row("  {:<14} {}", (None, cid), (f"constants.{cid}", profile.constants[cid])))
     fsi = fine_structure_inverse(profile)
-    ratio = mass_ratio(profile)
-    if args.as_json:
-        listed = dict(
-            (cid, quantity_to_jsonable(profile.constants[cid]))
-            for cid in _constant_rows(profile)
-        )
-        return [
-            _dumps(
-                {
-                    "schema": 1,
-                    "name": profile.name,
-                    "constants": listed,
-                    "derived": {
-                        "planck_time": quantity_to_jsonable(t_p),
-                        "planck_length": quantity_to_jsonable(l_p),
-                        "fine_structure_inverse": quantity_to_jsonable(fsi),
-                        "mass_ratio": quantity_to_jsonable(ratio),
-                    },
-                }
-            )
-        ]
-    lines = [f"constants (profile: {profile.name})"]
-    for cid in _constant_rows(profile):
-        lines.append(f"  {cid:<14} {_fmt(profile.constants[cid])}")
-    lines.append("derived:")
-    lines.append(f"  {'planck_time':<14} {_fmt(t_p)}")
-    lines.append(f"  {'planck_length':<14} {_fmt(l_p)}")
-    lines.append(f"  {'hbar*c/e2':<14} {fsi.to_value():.1f}")
-    lines.append(f"  {'m_p/m_e':<14} {ratio.to_value():.1f}")
-    return lines
+    rows += [
+        _text("derived:"),
+        _row("  planck_time    {}", ("derived.planck_time", planck_time(profile))),
+        _row("  planck_length  {}", ("derived.planck_length", planck_length(profile))),
+        _row("  hbar*c/e2      {}", ("derived.fine_structure_inverse", fsi, _one_decimal)),
+        _row("  m_p/m_e        {}", ("derived.mass_ratio", mass_ratio(profile), _one_decimal)),
+    ]
+    return f"constants (profile: {profile.name})", rows
 
 
-def _constant_rows(profile: ConstantsProfile) -> list[str]:
-    rows = [cid for cid in _CONSTANT_ORDER if cid in profile.constants]
-    rows.extend(sorted(set(profile.constants) - set(_CONSTANT_ORDER)))
-    return rows
-
-
-def cmd_manmade(args: argparse.Namespace) -> list[str]:
+def cmd_manmade(args: argparse.Namespace) -> Table:
     fleet = baseline.default_fleet()
     if args.scenario is not None:
         doc = _load_document(args.scenario)
-        unknown = sorted(set(doc) - _SCENARIO_KEYS)
-        if unknown:
-            raise UsageError(f"unknown scenario key: {unknown[0]!r}")
+        _reject_unknown(doc, _SCENARIO_KEYS, "scenario")
         if doc.get("fleet") is not None:
             fleet = _parse_fleet(doc["fleet"])
-    ops = baseline.fleet_ops(fleet)
-    bits = baseline.fleet_bits(fleet)
-    historical = baseline.historical_ops(fleet)
-    if args.as_json:
-        return [
-            _dumps(
-                {
-                    "schema": 1,
-                    "ops": quantity_to_jsonable(ops),
-                    "ops_historical": quantity_to_jsonable(historical),
-                    "bits": quantity_to_jsonable(bits),
-                }
-            )
-        ]
-    return [
-        "man-made computation",
-        f"ops (recent era):  {_fmt_headline(ops)}",
-        f"ops (historical):  {_fmt_headline(historical)}",
-        f"bits:              {_fmt_headline(bits)}",
+    ops, historical = baseline.fleet_ops(fleet), baseline.historical_ops(fleet)
+    rows = [
+        _row("ops (recent era):  {}", ("ops", ops, _headline)),
+        _row("ops (historical):  {}", ("ops_historical", historical, _headline)),
+        _row("bits:              {}", ("bits", baseline.fleet_bits(fleet), _headline)),
     ]
+    return "man-made computation", rows
 
 
 # ---------------------------------------------------------------- wiring
@@ -684,16 +536,25 @@ def _growth_flag(text: str) -> LogInterval:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _tolerance_flag(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    # the rule dimq.approx_eq applies; it rejects nan as well
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return value
+
+
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--profile",
-        default=None,
-        help="constants profile: paper, codata, or a JSON profile file",
+        "--profile", help="constants profile: paper, codata, or a JSON profile file"
     )
     common.add_argument(
         "--tolerance-decades",
-        type=float,
+        type=_tolerance_flag,
         default=DEFAULT_TOLERANCE_DECADES,
         help="agreement tolerance for consistency lines (default 1.5)",
     )
@@ -712,7 +573,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser(
         "report", parents=[common], help="full capacity report for a scenario"
     )
-    p_report.add_argument("scenario", nargs="?", default=None, help="scenario JSON file")
+    p_report.add_argument("scenario", nargs="?", help="scenario JSON file")
     p_report.add_argument(
         "--default-paper",
         action="store_true",
@@ -730,42 +591,36 @@ def _build_parser() -> argparse.ArgumentParser:
 
     e_rad = esub.add_parser("radiation", parents=[common])
     e1 = e_rad.add_mutually_exclusive_group(required=True)
-    e1.add_argument("--E1-joules", dest="e1_joules", type=float, default=None)
+    e1.add_argument("--E1-joules", dest="e1_joules", type=float)
     e1.add_argument(
         "--E1-ratio",
         dest="e1_ratio",
         type=float,
-        default=None,
         help="E1 given as its op rate: 2 E1/(pi hbar) in ops/sec",
     )
     e_rad.add_argument("--t1", type=float, required=True, help="seconds")
     e_rad.add_argument("--t0", type=float, required=True, help="seconds")
-    e_rad.add_argument("--temperature-k", type=float, default=None)
+    e_rad.add_argument("--temperature-k", type=float)
     e_rad.set_defaults(handler=cmd_epoch_radiation)
 
     e_inf = esub.add_parser("inflation", parents=[common])
-    e_inf.add_argument("--H", dest="hubble", type=float, default=None, help="1/seconds")
+    e_inf.add_argument("--H", dest="hubble", type=float, help="1/seconds")
     e_inf.add_argument(
-        "--growth",
-        type=_growth_flag,
-        default=None,
-        help="linear growth band as CENTER:HALFWIDTH in decades",
+        "--growth", type=_growth_flag, help="linear growth band as CENTER:HALFWIDTH in decades"
     )
     e_inf.set_defaults(handler=cmd_epoch_inflation)
 
     p_large = sub.add_parser("large-numbers", parents=[common])
-    p_large.add_argument(
-        "--rho", type=float, default=None, help="kg/m3 (default: critical density)"
-    )
+    p_large.add_argument("--rho", type=float, help="kg/m3 (default: critical density)")
     p_large.add_argument("--age-years", type=float, default=1.0e10)
     p_large.set_defaults(handler=cmd_large_numbers)
 
     p_const = sub.add_parser("constants", parents=[common])
-    p_const.add_argument("name", nargs="?", default=None)
+    p_const.add_argument("name", nargs="?")
     p_const.set_defaults(handler=cmd_constants)
 
     p_man = sub.add_parser("manmade", parents=[common])
-    p_man.add_argument("--scenario", default=None, help="scenario JSON file (fleet key)")
+    p_man.add_argument("--scenario", help="scenario JSON file (fleet key)")
     p_man.set_defaults(handler=cmd_manmade)
 
     return parser
@@ -781,7 +636,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             return EXIT_OK
         return code if isinstance(code, int) else EXIT_USAGE
     try:
-        lines = args.handler(args)
+        header, rows = args.handler(args)
+        output = _render_json(rows) if args.as_json else _render_text(header, rows)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -789,5 +645,5 @@ def main(argv: Optional[list[str]] = None) -> int:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return EXIT_DOMAIN
-    print("\n".join(lines))
+    print(output)
     return EXIT_OK

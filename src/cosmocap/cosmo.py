@@ -41,12 +41,12 @@ from .dimq import (
     TEMPERATURE,
     TIME,
     VOLUME,
-    Dimension,
     DimensionError,
     LogInterval,
     Quantity,
     interval_pow,
     make,
+    require,
     scalar,
 )
 
@@ -84,13 +84,6 @@ _QUARTER = Fraction(1, 4)
 _LN2 = math.log(2.0)
 
 GUT_THRESHOLD_GEV = 2.0e16
-
-
-def _require(q: Quantity, dim: Dimension, what: str, *, allow_zero: bool = False) -> None:
-    if q.dimension != dim:
-        raise DimensionError(f"{what} has the wrong dimension", q.dimension, dim)
-    if q.sign < 0 or (q.sign == 0 and not allow_zero):
-        raise ValueError(f"{what} must be {'>= 0' if allow_zero else '> 0'}")
 
 
 @dataclass(frozen=True)
@@ -145,7 +138,7 @@ def critical_density(
     With H = 1/t the approx mode is the familiar 1/(Gt²); the two modes
     differ by exactly 3/8π ≈ 0.119.
     """
-    _require(hubble, RATE, "hubble")
+    require(hubble, RATE, "hubble")
     if mode not in ("exact", "approx"):
         raise ValueError(f"mode must be 'exact' or 'approx', got {mode!r}")
     g = get(profile, "G")
@@ -157,27 +150,27 @@ def critical_density(
 
 def horizon_volume(age: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
     """c³t³, the causally connected volume at age t."""
-    _require(age, TIME, "age")
+    require(age, TIME, "age")
     return (get(profile, "c") * age) ** 3
 
 
 def ops_matter(rho: Quantity, age: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
     """ρc⁵t⁴/ħ: total ops the horizon's energy supports by age t."""
-    _require(rho, MASS_DENSITY, "rho")
-    _require(age, TIME, "age")
+    require(rho, MASS_DENSITY, "rho")
+    require(age, TIME, "age")
     c, hbar = get(profile, "c"), get(profile, "hbar")
     return rho * c**5 * age**4 / hbar
 
 
 def ops_critical(age: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
     """(t/t_P)²: the matter-epoch count at critical density 1/(Gt²)."""
-    _require(age, TIME, "age")
+    require(age, TIME, "age")
     return (age / planck_time(profile)) ** 2
 
 
 def apply_gravity(ops: Quantity, include: bool) -> Quantity:
     """Free gravitational degrees of freedom contribute a factor 2, no more."""
-    _require(ops, DIMENSIONLESS, "ops", allow_zero=True)
+    require(ops, DIMENSIONLESS, "ops", allow_zero=True)
     if not include:
         return ops
     return scalar(2.0) * ops
@@ -198,7 +191,7 @@ def blackbody_temperature(
     entirely to relativistic particles, i.e. the maximum-entropy state.
     About 18 K for today's ~1e-27 kg/m³ with photons alone.
     """
-    _require(rho, MASS_DENSITY, "rho")
+    require(rho, MASS_DENSITY, "rho")
     weight = species.total_weight()
     hbar, c, k_b = get(profile, "hbar"), get(profile, "c"), get(profile, "k_B")
     inner = scalar(30.0) * hbar**3 * c**5 * rho / scalar(math.pi**2 * float(weight))
@@ -211,8 +204,8 @@ def entropy_density(
     rho: Quantity, temperature: Quantity, profile: ConstantsProfile = PAPER
 ) -> Quantity:
     """S/V = 4ρc²/(3T) for radiation at temperature T."""
-    _require(rho, MASS_DENSITY, "rho")
-    _require(temperature, TEMPERATURE, "temperature")
+    require(rho, MASS_DENSITY, "rho")
+    require(temperature, TEMPERATURE, "temperature")
     c = get(profile, "c")
     return scalar(4.0 / 3.0) * rho * c**2 / temperature
 
@@ -226,11 +219,11 @@ def entropy_in_volume(
     """S = (4k_B/3)(π² Σ n_eff/30)^{1/4} (ρc/ħ)^{3/4} · V.
 
     Extensive in V.  Identical to entropy_density at the matching
-    blackbody temperature times V; both forms are kept because reports
-    use each.
+    blackbody temperature times V.  Reports use this form; entropy_density
+    is the public per-volume form and nothing in the package calls it.
     """
-    _require(rho, MASS_DENSITY, "rho")
-    _require(volume, VOLUME, "volume")
+    require(rho, MASS_DENSITY, "rho")
+    require(volume, VOLUME, "volume")
     hbar, c, k_b = get(profile, "hbar"), get(profile, "c"), get(profile, "k_B")
     prefactor = scalar(4.0 / 3.0) * k_b * d_factor(species) ** _QUARTER
     entropy = prefactor * (rho * c / hbar) ** Fraction(3, 4) * volume
@@ -261,9 +254,9 @@ def bits_holographic(age: Quantity, profile: ConstantsProfile = PAPER) -> Quanti
 
 def radiation_energy_at(e1: Quantity, t1: Quantity, t0: Quantity) -> Quantity:
     """Energy at earlier time t0 given E1 at t1: E1·(t1/t0)^{1/2}."""
-    _require(e1, ENERGY, "e1")
-    _require(t1, TIME, "t1")
-    _require(t0, TIME, "t0")
+    require(e1, ENERGY, "e1")
+    require(t1, TIME, "t1")
+    require(t0, TIME, "t0")
     if t0.log10 > t1.log10:
         raise ValueError("t0 must not exceed t1")
     return e1 * (t1 / t0) ** _HALF
@@ -277,9 +270,9 @@ def ops_radiation(
     Finite even from t0 = 0, where it is exactly twice the fixed-energy
     count (2E1/πħ)·t1.  Zero at t0 = t1 by exact cancellation.
     """
-    _require(e1, ENERGY, "e1")
-    _require(t1, TIME, "t1")
-    _require(t0, TIME, "t0", allow_zero=True)
+    require(e1, ENERGY, "e1")
+    require(t1, TIME, "t1")
+    require(t0, TIME, "t0", allow_zero=True)
     if t0.sign > 0 and t0.log10 > t1.log10:
         raise ValueError("t0 must not exceed t1")
     hbar = get(profile, "hbar")
@@ -306,8 +299,8 @@ def bits_radiation(
     unification threshold means any such table is guesswork, which the
     returned marker flags.
     """
-    _require(energy, ENERGY, "energy")
-    _require(temperature, TEMPERATURE, "temperature")
+    require(energy, ENERGY, "energy")
+    require(temperature, TEMPERATURE, "temperature")
     species.total_weight()  # reject an empty bath up front
     k_b = get(profile, "k_B")
     bits = scalar(4.0 / (3.0 * _LN2)) * energy / (k_b * temperature)
@@ -330,7 +323,7 @@ def inflation_bounds(hubble: Quantity, profile: ConstantsProfile = PAPER) -> Inf
     ops_per_hubble_time = ops_per_sec/H.
     bits_horizon = (c/H)²/ℓ_P², which is 8π/3 × ops_per_hubble_time.
     """
-    _require(hubble, RATE, "hubble")
+    require(hubble, RATE, "hubble")
     t_p = planck_time(profile)
     ops_per_sec = scalar(3.0 / (8.0 * math.pi)) / (t_p**2 * hubble)
     ops_per_hubble = ops_per_sec / hubble
@@ -362,17 +355,17 @@ class Scenario:
     inflation_growth: Optional[LogInterval] = None
 
     def __post_init__(self) -> None:
-        _require(self.rho, MASS_DENSITY, "rho")
-        _require(self.age, TIME, "age")
+        require(self.rho, MASS_DENSITY, "rho")
+        require(self.age, TIME, "age")
         if self.hubble is None:
             object.__setattr__(self, "hubble", ONE / self.age)
-        _require(self.hubble, RATE, "hubble")
+        require(self.hubble, RATE, "hubble")
         if not isinstance(self.species, SpeciesTable):
             raise TypeError("species must be a SpeciesTable")
         if self.matter_radiation_transition is None:
             transition = make(7.0e5) * get(self.profile, "year_seconds")
             object.__setattr__(self, "matter_radiation_transition", transition)
-        _require(self.matter_radiation_transition, TIME, "matter_radiation_transition")
+        require(self.matter_radiation_transition, TIME, "matter_radiation_transition")
         if self.inflation_growth is not None and not self.inflation_growth.dimension.is_dimensionless:
             raise DimensionError(
                 "inflation_growth must be dimensionless",

@@ -36,6 +36,7 @@ __all__ = [
     "make",
     "mul",
     "pow_rational",
+    "require",
     "scalar",
     "sub",
     "zero",
@@ -383,6 +384,17 @@ def approx_eq(
     if a.sign == 0:
         return True
     return abs(a.log10 - b.log10) <= tol_decades
+
+
+def require(q: Quantity, dim: Dimension, what: str, *, allow_zero: bool = False) -> None:
+    """Check an input at a public boundary: dimension ``dim`` and > 0.
+
+    ``allow_zero`` relaxes the sign check to >= 0.
+    """
+    if q.dimension != dim:
+        raise DimensionError(f"{what} has the wrong dimension", q.dimension, dim)
+    if q.sign < 0 or (q.sign == 0 and not allow_zero):
+        raise ValueError(f"{what} must be {'>= 0' if allow_zero else '> 0'}")
 
 
 @dataclass(frozen=True)

@@ -22,18 +22,11 @@ from fractions import Fraction
 
 from .constants import PAPER, ConstantsProfile, fine_structure_inverse, get, mass_ratio
 from .cosmo import ops_critical, ops_matter
-from .dimq import MASS_DENSITY, TIME, Dimension, DimensionError, Quantity
+from .dimq import MASS_DENSITY, TIME, Quantity, require
 
 __all__ = ["LargeNumberReport", "alpha", "beta", "gamma", "identities"]
 
 _HALF = Fraction(1, 2)
-
-
-def _require_positive(q: Quantity, dim: Dimension, what: str) -> None:
-    if q.dimension != dim:
-        raise DimensionError(f"{what} has the wrong dimension", q.dimension, dim)
-    if q.sign != 1:
-        raise ValueError(f"{what} must be > 0")
 
 
 def alpha(profile: ConstantsProfile = PAPER) -> Quantity:
@@ -44,15 +37,15 @@ def alpha(profile: ConstantsProfile = PAPER) -> Quantity:
 
 def beta(t: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
     """c t divided by the classical electron radius e²/(m_e c²)."""
-    _require_positive(t, TIME, "t")
+    require(t, TIME, "t")
     c, m_e, e2 = get(profile, "c"), get(profile, "m_e"), get(profile, "e2")
     return c * t * m_e * c**2 / e2
 
 
 def gamma(rho: Quantity, t: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
     """√(ρc³t³/m_p): square root of the baryons inside the horizon."""
-    _require_positive(rho, MASS_DENSITY, "rho")
-    _require_positive(t, TIME, "t")
+    require(rho, MASS_DENSITY, "rho")
+    require(t, TIME, "t")
     c, m_p = get(profile, "c"), get(profile, "m_p")
     return (rho * c**3 * t**3 / m_p) ** _HALF
 

@@ -584,6 +584,16 @@ def test_constants_json(run_cli):
     )
 
 
+def test_constants_json_keeps_dotted_ids_flat(run_cli, tmp_path):
+    path = tmp_path / "profile.json"
+    path.write_text(
+        json.dumps({"name": "paper", "constants": {"a.b": {"value": 2.0}}}), encoding="utf-8"
+    )
+    code, out, _ = run_cli(["constants", str(path), "--json"])
+    assert code == 0
+    assert json.loads(out)["constants"]["a.b"]["log10"] == math.log10(2.0)
+
+
 # --- manmade ---
 
 
@@ -612,3 +622,32 @@ def test_manmade_json(run_cli):
     assert set(doc) == {"schema", "ops", "ops_historical", "bits"}
     assert doc["ops"]["log10"] == 31.0
     assert doc["bits"]["log10"] == 21.0
+
+
+# --- residual verdicts far from 1 ---
+
+
+def test_residual_outside_float_range_fails_in_text(run_cli, tmp_path):
+    code, out, err = run_cli(["large-numbers", "--rho", "1e-300", "--age-years", "1e-30"])
+    assert code == 0 and err == ""
+    assert "r1: 10^355.18\n" in out
+
+    scenario = write_scenario(tmp_path, {"rho_kg_m3": 1e-300, "age_years": 1e-30})
+    code, out, err = run_cli(["report", scenario])
+    assert code == 0 and err == ""
+    assert "residuals: r1 10^355.18, r2 1.000e+00 PASS" in out
+
+
+def test_residual_outside_float_range_fails_in_json(run_cli):
+    code, out, err = run_cli(
+        ["large-numbers", "--rho", "1e-300", "--age-years", "1e-30", "--json"]
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["pass"] == {"r1": False, "r2": True, "r3": True}
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan"])
+def test_tolerance_must_be_positive(run_cli, value):
+    code, out, err = run_cli(["report", "--default-paper", "--tolerance-decades", value])
+    assert code == 2 and out == ""
+    assert "--tolerance-decades: must be > 0" in err
