@@ -40,11 +40,15 @@ from .dimq import (
     RATE,
     TEMPERATURE,
     TIME,
+    InputError,
     LogInterval,
     Quantity,
     dimension_to_mapping,
     make,
+    number,
     quantity_to_jsonable,
+    read_json_object,
+    reject_unknown,
     scalar,
 )
 from .largenum import identities
@@ -69,10 +73,6 @@ _FLEET_KEYS = frozenset(
     {"n_computers", "clock_rate_hz", "ops_per_cycle", "duration_s", "bits_per_computer"}
 )
 _GROWTH_KEYS = frozenset({"center", "halfwidth"})
-
-
-class UsageError(Exception):
-    """Bad invocation or unparseable input: exit 2."""
 
 
 # ---------------------------------------------------------------- rendering
@@ -187,12 +187,12 @@ def _resolve_profile(name: str) -> ConstantsProfile:
     try:
         return load_profile(name)
     except OSError:
-        raise UsageError(
+        raise InputError(
             f"unknown profile {name!r}: not a built-in (paper, codata) "
             "and not a readable file"
         ) from None
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise UsageError(f"bad profile file {name!r}: {exc}") from None
+    except ValueError as exc:
+        raise InputError(f"bad profile file {name!r}: {exc}") from None
 
 
 def _profile_from_flag(args: argparse.Namespace) -> ConstantsProfile:
@@ -205,47 +205,22 @@ def _age_from_years(years: float, profile: ConstantsProfile) -> Quantity:
 
 def _load_document(path: str) -> Mapping[str, object]:
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        return read_json_object(path, "scenario file")
     except OSError as exc:
-        raise UsageError(f"cannot read scenario file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise UsageError(
-            f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
-    if not isinstance(doc, Mapping):
-        raise UsageError("scenario file must hold a JSON object")
-    return doc
-
-
-def _reject_unknown(raw: Mapping[str, object], allowed: frozenset, what: str) -> None:
-    unknown = sorted(set(raw) - allowed)
-    if unknown:
-        raise UsageError(f"unknown {what} key: {unknown[0]!r}")
-
-
-def _number(value: object, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise UsageError(f"{what} must be a number")
-    return float(value)
-
-
-def _get_number(doc: Mapping[str, object], key: str, default: Optional[float]) -> Optional[float]:
-    value = doc.get(key, default)
-    return None if value is None else _number(value, f"scenario key {key!r}")
+        raise InputError(f"cannot read scenario file: {exc}") from None
 
 
 def _parse_species(raw: object) -> cosmo.SpeciesTable:
     if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
-        raise UsageError("scenario key 'species' must be an array")
+        raise InputError("scenario key 'species' must be an array")
     entries = []
     for i, entry in enumerate(raw):
         if not isinstance(entry, Mapping):
-            raise UsageError(f"species[{i}] must be an object")
-        _reject_unknown(entry, _SPECIES_KEYS, "species")
+            raise InputError(f"species[{i}] must be an object")
+        reject_unknown(entry, _SPECIES_KEYS, "species")
         missing = sorted(_SPECIES_KEYS - set(entry))
         if missing:
-            raise UsageError(f"species[{i}] missing key: {missing[0]!r}")
+            raise InputError(f"species[{i}] missing key: {missing[0]!r}")
         name, pol, pa, stat = (
             entry["name"],
             entry["polarizations"],
@@ -253,9 +228,9 @@ def _parse_species(raw: object) -> cosmo.SpeciesTable:
             entry["statistics"],
         )
         if not isinstance(name, str) or not isinstance(stat, str):
-            raise UsageError(f"species[{i}]: name and statistics must be strings")
+            raise InputError(f"species[{i}]: name and statistics must be strings")
         if any(isinstance(v, bool) or not isinstance(v, int) for v in (pol, pa)):
-            raise UsageError(
+            raise InputError(
                 f"species[{i}]: polarizations and particle_antiparticle must be integers"
             )
         entries.append(cosmo.Species(name, pol, pa, stat))
@@ -264,43 +239,45 @@ def _parse_species(raw: object) -> cosmo.SpeciesTable:
 
 def _parse_growth(raw: object) -> LogInterval:
     if not isinstance(raw, Mapping):
-        raise UsageError("scenario key 'inflation_growth_log10' must be an object")
-    _reject_unknown(raw, _GROWTH_KEYS, "inflation_growth_log10")
+        raise InputError("scenario key 'inflation_growth_log10' must be an object")
+    reject_unknown(raw, _GROWTH_KEYS, "inflation_growth_log10")
     center, halfwidth = (
-        _number(raw.get(k), f"inflation_growth_log10.{k}") for k in ("center", "halfwidth")
+        number(raw.get(k), f"inflation_growth_log10.{k}") for k in ("center", "halfwidth")
     )
     return LogInterval(center, halfwidth)
 
 
 def _parse_fleet(raw: object) -> baseline.FleetSpec:
     if not isinstance(raw, Mapping):
-        raise UsageError("scenario key 'fleet' must be an object")
-    _reject_unknown(raw, _FLEET_KEYS, "fleet")
+        raise InputError("scenario key 'fleet' must be an object")
+    reject_unknown(raw, _FLEET_KEYS, "fleet")
     # the keys are from_counts' parameter names
-    counts = {key: _number(raw.get(key), f"fleet.{key}") for key in sorted(_FLEET_KEYS)}
+    counts = {key: number(raw.get(key), f"fleet.{key}") for key in sorted(_FLEET_KEYS)}
     return baseline.FleetSpec.from_counts(**counts)
 
 
 def _build_scenario(
     doc: Mapping[str, object], profile_flag: Optional[str]
 ) -> tuple[cosmo.Scenario, baseline.FleetSpec]:
-    _reject_unknown(doc, _SCENARIO_KEYS, "scenario")
+    reject_unknown(doc, _SCENARIO_KEYS, "scenario")
 
     profile_name = profile_flag
     if profile_name is None:
         raw_name = doc.get("constants_profile", "paper")
         if not isinstance(raw_name, str):
-            raise UsageError("scenario key 'constants_profile' must be a string")
+            raise InputError("scenario key 'constants_profile' must be a string")
         profile_name = raw_name
     profile = _resolve_profile(profile_name)
 
-    rho_v = _get_number(doc, "rho_kg_m3", 1.0e-27)
-    age_years = _get_number(doc, "age_years", 1.0e10)
-    hubble_v = _get_number(doc, "hubble_per_s", None)
+    rho_v = number(doc.get("rho_kg_m3", cosmo.PAPER_RHO_KG_M3), "scenario key 'rho_kg_m3'")
+    age_years = number(doc.get("age_years", cosmo.PAPER_AGE_YEARS), "scenario key 'age_years'")
+    hubble_v = doc.get("hubble_per_s")
+    if hubble_v is not None:
+        hubble_v = number(hubble_v, "scenario key 'hubble_per_s'")
 
     include_gravity = doc.get("include_gravity", False)
     if not isinstance(include_gravity, bool):
-        raise UsageError("scenario key 'include_gravity' must be true or false")
+        raise InputError("scenario key 'include_gravity' must be true or false")
 
     raw_species, raw_growth, raw_fleet = (
         doc.get(key) for key in ("species", "inflation_growth_log10", "fleet")
@@ -326,9 +303,9 @@ def _build_scenario(
 
 def cmd_report(args: argparse.Namespace) -> Table:
     if args.scenario is not None and args.default_paper:
-        raise UsageError("give either a scenario file or --default-paper, not both")
+        raise InputError("give either a scenario file or --default-paper, not both")
     if args.scenario is None and not args.default_paper:
-        raise UsageError("give a scenario file or --default-paper")
+        raise InputError("give a scenario file or --default-paper")
     doc = {} if args.scenario is None else _load_document(args.scenario)
     scenario, fleet = _build_scenario(doc, args.profile)
     report = cosmo.full_report(scenario)
@@ -444,7 +421,7 @@ def cmd_epoch_radiation(args: argparse.Namespace) -> Table:
 def cmd_epoch_inflation(args: argparse.Namespace) -> Table:
     profile = _profile_from_flag(args)
     if args.hubble is None and args.growth is None:
-        raise UsageError("inflation needs --H, --growth, or both")
+        raise InputError("inflation needs --H, --growth, or both")
     rec = None if args.hubble is None else cosmo.inflation_bounds(make(args.hubble, RATE), profile)
     total = None if args.growth is None else cosmo.inflation_total_ops(args.growth)
     rows = [_row(None, ("epoch", "inflation"))]
@@ -492,8 +469,11 @@ def cmd_constants(args: argparse.Namespace) -> Table:
     profile = _profile_from_flag(args) if args.name is None else _resolve_profile(args.name)
     rows = [_row(None, ("name", profile.name))]
     # required constants in registry order, then a profile file's extras
-    for cid in [*REQUIRED_DIMS, *sorted(set(profile.constants) - set(REQUIRED_DIMS))]:
-        rows.append(_row("  {:<14} {}", (None, cid), (f"constants.{cid}", profile.constants[cid])))
+    cids = [*REQUIRED_DIMS, *sorted(set(profile.constants) - set(REQUIRED_DIMS))]
+    width = max(14, *map(len, cids))
+    for cid in cids:
+        cell = (f"constants.{cid}", profile.constants[cid])
+        rows.append(_row("  {} {}", (None, cid.ljust(width)), cell))
     fsi = fine_structure_inverse(profile)
     rows += [
         _text("derived:"),
@@ -509,7 +489,7 @@ def cmd_manmade(args: argparse.Namespace) -> Table:
     fleet = baseline.default_fleet()
     if args.scenario is not None:
         doc = _load_document(args.scenario)
-        _reject_unknown(doc, _SCENARIO_KEYS, "scenario")
+        reject_unknown(doc, _SCENARIO_KEYS, "scenario")
         if doc.get("fleet") is not None:
             fleet = _parse_fleet(doc["fleet"])
     ops, historical = baseline.fleet_ops(fleet), baseline.historical_ops(fleet)
@@ -585,8 +565,8 @@ def _build_parser() -> argparse.ArgumentParser:
     esub = p_epoch.add_subparsers(dest="epoch", required=True)
 
     e_matter = esub.add_parser("matter", parents=[common])
-    e_matter.add_argument("--rho", type=float, default=1.0e-27, help="kg/m3")
-    e_matter.add_argument("--age-years", type=float, default=1.0e10)
+    e_matter.add_argument("--rho", type=float, default=cosmo.PAPER_RHO_KG_M3, help="kg/m3")
+    e_matter.add_argument("--age-years", type=float, default=cosmo.PAPER_AGE_YEARS)
     e_matter.set_defaults(handler=cmd_epoch_matter)
 
     e_rad = esub.add_parser("radiation", parents=[common])
@@ -612,7 +592,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_large = sub.add_parser("large-numbers", parents=[common])
     p_large.add_argument("--rho", type=float, help="kg/m3 (default: critical density)")
-    p_large.add_argument("--age-years", type=float, default=1.0e10)
+    p_large.add_argument("--age-years", type=float, default=cosmo.PAPER_AGE_YEARS)
     p_large.set_defaults(handler=cmd_large_numbers)
 
     p_const = sub.add_parser("constants", parents=[common])
@@ -638,12 +618,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         header, rows = args.handler(args)
         output = _render_json(rows) if args.as_json else _render_text(header, rows)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, KeyError, ZeroDivisionError, OverflowError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return EXIT_USAGE if isinstance(exc, InputError) else EXIT_DOMAIN
     print(output)
     return EXIT_OK

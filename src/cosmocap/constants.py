@@ -14,7 +14,6 @@ would let them drift out of sync with the profile.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -23,12 +22,18 @@ from .dimq import (
     Dimension,
     DIMENSIONLESS,
     ENERGY,
+    ENTROPY,
     LENGTH,
     MASS,
     TIME,
+    InputError,
     Quantity,
     dimension_from_mapping,
     make,
+    number,
+    read_json_object,
+    reject_unknown,
+    require,
 )
 
 __all__ = [
@@ -52,7 +57,7 @@ REQUIRED_DIMS: dict[str, Dimension] = {
     "hbar": ENERGY * TIME,
     "c": LENGTH / TIME,
     "G": LENGTH**3 / (MASS * TIME**2),
-    "k_B": ENERGY / Dimension(temperature=1),
+    "k_B": ENTROPY,
     "m_e": MASS,
     "m_p": MASS,
     "e2": ENERGY * LENGTH,
@@ -71,14 +76,7 @@ class ConstantsProfile:
         if missing:
             raise ValueError(f"profile {self.name!r} missing constants: {missing}")
         for cid, q in self.constants.items():
-            if q.sign != 1:
-                raise ValueError(f"constant {cid!r} must be strictly positive")
-            expected = REQUIRED_DIMS.get(cid)
-            if expected is not None and q.dimension != expected:
-                raise ValueError(
-                    f"constant {cid!r} has dimension {q.dimension.compact()}, "
-                    f"expected {expected.compact()}"
-                )
+            require(q, REQUIRED_DIMS.get(cid, q.dimension), f"constant {cid!r}")
 
 
 def _profile(name: str, values: Mapping[str, float]) -> ConstantsProfile:
@@ -173,37 +171,22 @@ def profile_from_dict(data: Mapping[str, object]) -> ConstantsProfile:
     """
     name = data.get("name")
     if not isinstance(name, str) or not name:
-        raise ValueError("profile fixture needs a non-empty string 'name'")
+        raise InputError("profile fixture needs a non-empty string 'name'")
     raw = data.get("constants")
     if not isinstance(raw, Mapping):
-        raise ValueError("profile fixture needs a 'constants' object")
-    unknown = sorted(set(data) - {"name", "constants"})
-    if unknown:
-        raise ValueError(f"unknown profile fixture keys: {unknown}")
+        raise InputError("profile fixture needs a 'constants' object")
+    reject_unknown(data, ("name", "constants"), "profile fixture")
 
-    merged: dict[str, Quantity] = {}
     base = _BUILTIN.get(name)
-    if base is not None:
-        merged.update(base.constants)
+    merged = {} if base is None else dict(base.constants)
     for cid, entry in raw.items():
         if not isinstance(entry, Mapping):
-            raise ValueError(f"constant {cid!r} must be an object")
-        extra = sorted(set(entry) - {"value", "dims"})
-        if extra:
-            raise ValueError(f"constant {cid!r} has unknown keys: {extra}")
-        value = entry.get("value")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"constant {cid!r} needs a numeric 'value'")
-        dims = entry.get("dims", {})
-        if not isinstance(dims, Mapping):
-            raise ValueError(f"constant {cid!r} 'dims' must be an object")
-        merged[cid] = make(float(value), dimension_from_mapping(dims))
+            raise InputError(f"constant {cid!r} must be an object")
+        reject_unknown(entry, ("value", "dims"), f"constant {cid!r}")
+        value = number(entry.get("value"), f"constant {cid!r} 'value'")
+        merged[cid] = make(value, dimension_from_mapping(entry.get("dims", {})))
     return ConstantsProfile(name, merged)
 
 
 def load_profile(path: str) -> ConstantsProfile:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, Mapping):
-        raise ValueError("profile fixture must be a JSON object")
-    return profile_from_dict(data)
+    return profile_from_dict(read_json_object(path, "profile file"))

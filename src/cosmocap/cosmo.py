@@ -52,6 +52,8 @@ from .dimq import (
 
 __all__ = [
     "GUT_THRESHOLD_GEV",
+    "PAPER_AGE_YEARS",
+    "PAPER_RHO_KG_M3",
     "PHOTONS_ONLY",
     "CapacityReport",
     "InflationBounds",
@@ -84,6 +86,10 @@ _QUARTER = Fraction(1, 4)
 _LN2 = math.log(2.0)
 
 GUT_THRESHOLD_GEV = 2.0e16
+
+# the paper's present-day universe, the default wherever a scenario is omitted
+PAPER_RHO_KG_M3 = 1.0e-27
+PAPER_AGE_YEARS = 1.0e10
 
 
 @dataclass(frozen=True)
@@ -376,8 +382,8 @@ class Scenario:
 
 def paper_scenario(profile: ConstantsProfile = PAPER) -> Scenario:
     """ρ = 1e-27 kg/m³ at age 10^10 years, photons only, no gravity."""
-    age = make(1.0e10) * get(profile, "year_seconds")
-    return Scenario(rho=make(1.0e-27, MASS_DENSITY), age=age, profile=profile)
+    age = make(PAPER_AGE_YEARS) * get(profile, "year_seconds")
+    return Scenario(rho=make(PAPER_RHO_KG_M3, MASS_DENSITY), age=age, profile=profile)
 
 
 @dataclass(frozen=True)

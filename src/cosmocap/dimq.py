@@ -17,15 +17,18 @@ converts back to an ordinary float when it fits in one.
 
 from __future__ import annotations
 
+import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 __all__ = [
     "DEFAULT_TOLERANCE_DECADES",
     "Dimension",
     "DimensionError",
+    "InputError",
     "LogInterval",
     "Quantity",
     "add",
@@ -35,7 +38,10 @@ __all__ = [
     "interval_pow",
     "make",
     "mul",
+    "number",
     "pow_rational",
+    "read_json_object",
+    "reject_unknown",
     "require",
     "scalar",
     "sub",
@@ -155,38 +161,39 @@ ENERGY = MASS * LENGTH**2 / TIME**2
 ENTROPY = ENERGY / TEMPERATURE
 MASS_DENSITY = MASS / VOLUME
 
-_JSON_AXES = (
-    ("L", "length"),
-    ("M", "mass"),
-    ("T", "time"),
-    ("Theta", "temperature"),
-    ("Q2", "charge2"),
-)
+_JSON_AXES = {
+    "L": "length",
+    "M": "mass",
+    "T": "time",
+    "Theta": "temperature",
+    "Q2": "charge2",
+}
 
 
 def dimension_to_mapping(dim: Dimension) -> dict[str, list[int]]:
     """JSON form: nonzero exponents only, each as [numerator, denominator]."""
     out: dict[str, list[int]] = {}
-    for key, attr in _JSON_AXES:
+    for key, attr in _JSON_AXES.items():
         exp: Fraction = getattr(dim, attr)
         if exp != 0:
             out[key] = [exp.numerator, exp.denominator]
     return out
 
 
-def dimension_from_mapping(data: Mapping[str, object]) -> Dimension:
-    known = {key: attr for key, attr in _JSON_AXES}
+def dimension_from_mapping(data: object) -> Dimension:
+    if not isinstance(data, Mapping):
+        raise InputError("dims must be an object")
+    reject_unknown(data, _JSON_AXES, "dimension")
     exps: dict[str, Fraction] = {}
     for key, raw in data.items():
-        if key not in known:
-            raise ValueError(f"unknown dimension axis {key!r}")
         if (
             not isinstance(raw, (list, tuple))
             or len(raw) != 2
             or not all(isinstance(n, int) and not isinstance(n, bool) for n in raw)
+            or raw[1] == 0
         ):
-            raise ValueError(f"dimension axis {key!r} must be [numerator, denominator]")
-        exps[known[key]] = Fraction(raw[0], raw[1])
+            raise InputError(f"dimension axis {key!r} must be [numerator, nonzero denominator]")
+        exps[_JSON_AXES[key]] = Fraction(raw[0], raw[1])
     return Dimension(**exps)
 
 
@@ -219,7 +226,7 @@ class Quantity:
     @staticmethod
     def from_value(value: float, dimension: Dimension = DIMENSIONLESS) -> "Quantity":
         if not math.isfinite(value):
-            raise ValueError(f"value must be finite, got {value!r}")
+            raise InputError(f"value must be finite, got {value!r}")
         if value == 0:
             return Quantity(0, 0.0, dimension)
         return Quantity(
@@ -397,6 +404,37 @@ def require(q: Quantity, dim: Dimension, what: str, *, allow_zero: bool = False)
         raise ValueError(f"{what} must be {'>= 0' if allow_zero else '> 0'}")
 
 
+class InputError(ValueError):
+    """Malformed input from outside the program, not an unphysical value."""
+
+
+def reject_unknown(raw: Mapping[str, object], allowed: Iterable[str], what: str) -> None:
+    unknown = sorted(set(raw).difference(allowed))
+    if unknown:
+        raise InputError(f"unknown {what} key: {unknown[0]!r}")
+
+
+def number(value: object, what: str) -> float:
+    """A JSON number as a float; refuses nan, ±inf and integers beyond double range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{what} must be a number")
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        raise InputError(f"{what} must be finite and fit in a double")
+    return float(value)
+
+
+def read_json_object(path: str, what: str) -> dict[str, object]:
+    """The JSON object in file ``path``.  OSError is left to the caller."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise InputError(f"malformed JSON in {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InputError(f"{what} must hold a JSON object")
+    return doc
+
+
 @dataclass(frozen=True)
 class LogInterval:
     """Order-of-magnitude band 10^(center ± halfwidth), always positive.
@@ -479,16 +517,12 @@ def quantity_from_jsonable(data: Mapping[str, object]) -> Quantity:
         log10 = data["log10"]
         dims = data["dims"]
     except KeyError as exc:
-        raise ValueError(f"quantity object missing key {exc.args[0]!r}") from None
+        raise InputError(f"quantity object missing key {exc.args[0]!r}") from None
     if sign not in (-1, 0, 1) or isinstance(sign, bool):
-        raise ValueError(f"sign must be -1, 0 or 1, got {sign!r}")
-    if not isinstance(dims, Mapping):
-        raise ValueError("dims must be an object")
+        raise InputError(f"sign must be -1, 0 or 1, got {sign!r}")
     dimension = dimension_from_mapping(dims)
     if sign == 0:
         if log10 is not None:
-            raise ValueError("exact zero must carry log10 null")
+            raise InputError("exact zero must carry log10 null")
         return zero(dimension)
-    if isinstance(log10, bool) or not isinstance(log10, (int, float)):
-        raise ValueError(f"log10 must be a number, got {log10!r}")
-    return Quantity(int(sign), float(log10), dimension)
+    return Quantity(int(sign), number(log10, "log10"), dimension)

@@ -311,6 +311,39 @@ def test_domain_errors_exit_three(run_cli, tmp_path):
     assert "t0 must not exceed t1" in err
 
 
+# non-finite, beyond-double and undecodable values are malformed, not
+# unphysical; a file's bytes go to the path appended to argv
+_HUGE = b"1" + b"0" * 400
+_MALFORMED = {
+    "rho-nan": (["epoch", "matter", "--rho", "nan"], None),
+    "age-overflows": (["epoch", "matter", "--age-years", "1e400"], None),
+    "t0-nan": (["epoch", "radiation", "--E1-ratio", "1", "--t1", "1", "--t0", "nan"], None),
+    "scenario-overflows": (["report"], b'{"rho_kg_m3": 1e400}'),
+    "scenario-huge-int": (["report"], b'{"rho_kg_m3": ' + _HUGE + b"}"),
+    "scenario-null": (["report"], b'{"rho_kg_m3": null}'),
+    "scenario-not-utf8": (["report"], b'{"constants_profile": "\xff"}'),
+    "profile-huge-int": (
+        ["constants"],
+        b'{"name": "paper", "constants": {"x": {"value": ' + _HUGE + b"}}}",
+    ),
+    "profile-zero-denominator": (
+        ["constants"],
+        b'{"name": "paper", "constants": {"x": {"value": 1.0, "dims": {"L": [1, 0]}}}}',
+    ),
+}
+
+
+@pytest.mark.parametrize(("argv", "content"), _MALFORMED.values(), ids=list(_MALFORMED))
+def test_malformed_values_exit_two(run_cli, tmp_path, argv, content):
+    if content is not None:
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        argv = [*argv, str(path)]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_unknown_profile_exits_two(run_cli):
     code, _, err = run_cli(["constants", "nosuch"])
     assert code == 2

@@ -209,6 +209,16 @@ def test_profile_rejects_unknown_fixture_keys():
         )
 
 
+def test_load_profile_rejects_zero_denominator(tmp_path):
+    path = tmp_path / "profile.json"
+    path.write_text(
+        '{"name": "paper", "constants": {"x": {"value": 1.0, "dims": {"L": [1, 0]}}}}',
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match="'L' must be"):
+        load_profile(str(path))
+
+
 def test_constants_profile_validates_directly():
     with pytest.raises(ValueError):
         ConstantsProfile("broken", {"hbar": make(1.0)})

@@ -13,6 +13,7 @@ from cosmocap.dimq import (
     TIME,
     Dimension,
     DimensionError,
+    InputError,
     LogInterval,
     ONE,
     Quantity,
@@ -25,6 +26,7 @@ from cosmocap.dimq import (
     interval_pow,
     make,
     mul,
+    number,
     pow_rational,
     quantity_from_jsonable,
     quantity_to_jsonable,
@@ -68,10 +70,17 @@ def test_make_exact_powers_of_ten():
 
 
 def test_make_rejects_non_finite():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         make(float("inf"))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         make(float("nan"))
+
+
+def test_number_accepts_only_finite_json_numbers():
+    assert number(3, "x") == 3.0 and number(-2.5e300, "x") == -2.5e300
+    for bad in (True, None, "1", [1.0], float("inf"), float("nan"), 10**400, -(10**400)):
+        with pytest.raises(InputError, match="^x must be"):
+            number(bad, "x")
 
 
 def test_quantity_validates_sign_and_log():
@@ -141,6 +150,8 @@ def test_dimension_mapping_rejects_junk():
         dimension_from_mapping({"L": [1]})
     with pytest.raises(ValueError):
         dimension_from_mapping({"L": [1.0, 1]})
+    with pytest.raises(InputError, match="nonzero denominator"):
+        dimension_from_mapping({"L": [1, 0]})
 
 
 # ---------------------------------------------------------------- mul/div/pow
