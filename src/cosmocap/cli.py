@@ -46,6 +46,7 @@ from .dimq import (
     dimension_to_mapping,
     make,
     number,
+    parse_float,
     quantity_to_jsonable,
     read_json_object,
     reject_unknown,
@@ -527,6 +528,18 @@ def _tolerance_flag(text: str) -> float:
     return value
 
 
+class _FloatFlag(argparse.Action):
+    """Stores the flag's value as read by ``parse_float``.
+
+    A failing ``type=`` would become an argparse usage message; an
+    InputError raised here leaves ``parse_args``, so ``main`` reports it
+    as one ``error:`` line with exit 2, like any other malformed number.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        setattr(namespace, self.dest, parse_float(values, option_string))
+
+
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -565,34 +578,34 @@ def _build_parser() -> argparse.ArgumentParser:
     esub = p_epoch.add_subparsers(dest="epoch", required=True)
 
     e_matter = esub.add_parser("matter", parents=[common])
-    e_matter.add_argument("--rho", type=float, default=cosmo.PAPER_RHO_KG_M3, help="kg/m3")
-    e_matter.add_argument("--age-years", type=float, default=cosmo.PAPER_AGE_YEARS)
+    e_matter.add_argument("--rho", action=_FloatFlag, default=cosmo.PAPER_RHO_KG_M3, help="kg/m3")
+    e_matter.add_argument("--age-years", action=_FloatFlag, default=cosmo.PAPER_AGE_YEARS)
     e_matter.set_defaults(handler=cmd_epoch_matter)
 
     e_rad = esub.add_parser("radiation", parents=[common])
     e1 = e_rad.add_mutually_exclusive_group(required=True)
-    e1.add_argument("--E1-joules", dest="e1_joules", type=float)
+    e1.add_argument("--E1-joules", dest="e1_joules", action=_FloatFlag)
     e1.add_argument(
         "--E1-ratio",
         dest="e1_ratio",
-        type=float,
+        action=_FloatFlag,
         help="E1 given as its op rate: 2 E1/(pi hbar) in ops/sec",
     )
-    e_rad.add_argument("--t1", type=float, required=True, help="seconds")
-    e_rad.add_argument("--t0", type=float, required=True, help="seconds")
-    e_rad.add_argument("--temperature-k", type=float)
+    e_rad.add_argument("--t1", action=_FloatFlag, required=True, help="seconds")
+    e_rad.add_argument("--t0", action=_FloatFlag, required=True, help="seconds")
+    e_rad.add_argument("--temperature-k", action=_FloatFlag)
     e_rad.set_defaults(handler=cmd_epoch_radiation)
 
     e_inf = esub.add_parser("inflation", parents=[common])
-    e_inf.add_argument("--H", dest="hubble", type=float, help="1/seconds")
+    e_inf.add_argument("--H", dest="hubble", action=_FloatFlag, help="1/seconds")
     e_inf.add_argument(
         "--growth", type=_growth_flag, help="linear growth band as CENTER:HALFWIDTH in decades"
     )
     e_inf.set_defaults(handler=cmd_epoch_inflation)
 
     p_large = sub.add_parser("large-numbers", parents=[common])
-    p_large.add_argument("--rho", type=float, help="kg/m3 (default: critical density)")
-    p_large.add_argument("--age-years", type=float, default=cosmo.PAPER_AGE_YEARS)
+    p_large.add_argument("--rho", action=_FloatFlag, help="kg/m3 (default: critical density)")
+    p_large.add_argument("--age-years", action=_FloatFlag, default=cosmo.PAPER_AGE_YEARS)
     p_large.set_defaults(handler=cmd_large_numbers)
 
     p_const = sub.add_parser("constants", parents=[common])
@@ -607,17 +620,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = _build_parser().parse_args(argv)
+        header, rows = args.handler(args)
+        output = _render_json(rows) if args.as_json else _render_text(header, rows)
+    except SystemExit as exc:  # from argparse: --help, or a usage error it printed
         code = exc.code
         if code is None:
             return EXIT_OK
         return code if isinstance(code, int) else EXIT_USAGE
-    try:
-        header, rows = args.handler(args)
-        output = _render_json(rows) if args.as_json else _render_text(header, rows)
     except (ValueError, KeyError, ZeroDivisionError, OverflowError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)

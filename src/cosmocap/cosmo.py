@@ -84,6 +84,7 @@ __all__ = [
 _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
 _LN2 = math.log(2.0)
+_LN10 = math.log(10.0)
 
 GUT_THRESHOLD_GEV = 2.0e16
 
@@ -282,7 +283,11 @@ def ops_radiation(
     if t0.sign > 0 and t0.log10 > t1.log10:
         raise ValueError("t0 must not exceed t1")
     hbar = get(profile, "hbar")
-    tail = t1 - (t1 * t0) ** _HALF
+    # t1·(1 − √(t0/t1)) from the log gap: expm1 keeps the digits that the
+    # subtraction loses as t0 -> t1; the tail is exactly 0 at t0 = t1 and
+    # exactly t1 at t0 = 0, where the gap is -inf
+    gap = -math.inf if t0.sign == 0 else t0.log10 - t1.log10
+    tail = t1 * scalar(-math.expm1(0.5 * _LN10 * gap))
     return scalar(4.0 / math.pi) * e1 * tail / hbar
 
 

@@ -9,10 +9,11 @@ powers are exact bookkeeping on the exponents; addition falls back to a
 log1p evaluation that stays accurate until the operands are hundreds of
 decades apart, at which point the larger one simply wins.
 
-Dimension exponents are ``fractions.Fraction`` so that quantities such
-as an entropy scaling like a 3/4 power survive round trips without
-drift.  A quantity with all exponents zero is dimensionless and
-converts back to an ordinary float when it fits in one.
+Dimension exponents are exact rationals, kept as five integer numerators
+over one positive denominator in lowest terms, so that an entropy scaling
+like a 3/4 power survives round trips without drift and the arithmetic
+stays in integers.  A quantity with all exponents zero is dimensionless
+and converts back to an ordinary float when it fits in one.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "make",
     "mul",
     "number",
+    "parse_float",
     "pow_rational",
     "read_json_object",
     "reject_unknown",
@@ -55,12 +57,11 @@ _LN10 = math.log(10.0)
 Rational = Union[int, Fraction]
 
 
-def _as_fraction(p: Rational) -> Fraction:
+def _exponent(p: Rational, what: str = "exponent") -> Rational:
+    """p itself once known to be an int or Fraction; both have numerator and denominator."""
     if isinstance(p, bool) or not isinstance(p, (int, Fraction)):
-        raise TypeError(
-            f"exponent must be an int or Fraction, not {type(p).__name__}"
-        )
-    return Fraction(p)
+        raise TypeError(f"{what} must be an int or Fraction, not {type(p).__name__}")
+    return p
 
 
 class DimensionError(ValueError):
@@ -72,80 +73,94 @@ class DimensionError(ValueError):
         self.right = right
 
 
-@dataclass(frozen=True)
+_JSON_AXES = {
+    "L": "length",
+    "M": "mass",
+    "T": "time",
+    "Theta": "temperature",
+    "Q2": "charge2",
+}
+
+
 class Dimension:
     """Exponent vector over length, mass, time, temperature and squared
     charge.  The fifth axis exists for electrostatic bookkeeping in unit
     systems where charge squared is its own dimension; none of the
     built-in constants use it, but user-supplied tables may."""
 
-    length: Fraction = Fraction(0)
-    mass: Fraction = Fraction(0)
-    time: Fraction = Fraction(0)
-    temperature: Fraction = Fraction(0)
-    charge2: Fraction = Fraction(0)
+    __slots__ = ("_num", "_den")  # numerators over one denominator, in lowest terms
 
-    def __post_init__(self) -> None:
-        for name in ("length", "mass", "time", "temperature", "charge2"):
-            value = getattr(self, name)
-            if not isinstance(value, Fraction):
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise TypeError(f"{name} exponent must be int or Fraction")
-                object.__setattr__(self, name, Fraction(value))
+    def __new__(cls, length: Rational = 0, mass: Rational = 0, time: Rational = 0,
+                temperature: Rational = 0, charge2: Rational = 0) -> "Dimension":
+        exps = (length, mass, time, temperature, charge2)
+        if not {type(e) for e in exps} <= {int, Fraction}:  # isinstance on an ABC is slow
+            for name, exp in zip(_JSON_AXES.values(), exps):
+                _exponent(exp, f"{name} exponent")
+        ratios = [e.as_integer_ratio() for e in exps]
+        den = math.lcm(*[d for _, d in ratios])
+        return _reduced(tuple([n * (den // d) for n, d in ratios]), den)
+
+    length, mass, time, temperature, charge2 = (
+        property(lambda self, i=i: Fraction(self._num[i], self._den)) for i in range(5)
+    )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Dimension is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return Dimension, tuple(Fraction(n, self._den) for n in self._num)
+
+    def __repr__(self) -> str:
+        return "Dimension({}, {}, {}, {}, {})".format(*map(repr, self.__reduce__()[1]))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dimension):
+            return NotImplemented
+        return self._num == other._num and self._den == other._den
+
+    def __hash__(self) -> int:
+        return hash((self._num, self._den))
 
     @property
     def is_dimensionless(self) -> bool:
-        return self == DIMENSIONLESS
+        return not any(self._num)
+
+    def _combine(self, other: "Dimension", sign: int) -> "Dimension":
+        if not isinstance(other, Dimension):
+            return NotImplemented
+        den = math.lcm(self._den, other._den)
+        a, b = den // self._den, sign * (den // other._den)
+        (l1, m1, t1, k1, q1), (l2, m2, t2, k2, q2) = self._num, other._num
+        return _reduced((a*l1 + b*l2, a*m1 + b*m2, a*t1 + b*t2, a*k1 + b*k2, a*q1 + b*q2), den)
 
     def __mul__(self, other: "Dimension") -> "Dimension":
-        if not isinstance(other, Dimension):
-            return NotImplemented
-        return Dimension(
-            self.length + other.length,
-            self.mass + other.mass,
-            self.time + other.time,
-            self.temperature + other.temperature,
-            self.charge2 + other.charge2,
-        )
+        return self._combine(other, 1)
 
     def __truediv__(self, other: "Dimension") -> "Dimension":
-        if not isinstance(other, Dimension):
-            return NotImplemented
-        return Dimension(
-            self.length - other.length,
-            self.mass - other.mass,
-            self.time - other.time,
-            self.temperature - other.temperature,
-            self.charge2 - other.charge2,
-        )
+        return self._combine(other, -1)
 
     def __pow__(self, p: Rational) -> "Dimension":
-        p = _as_fraction(p)
-        return Dimension(
-            self.length * p,
-            self.mass * p,
-            self.time * p,
-            self.temperature * p,
-            self.charge2 * p,
-        )
+        p = _exponent(p)
+        return _reduced(tuple(map(p.numerator.__mul__, self._num)), self._den * p.denominator)
 
     def compact(self) -> str:
         """Render as e.g. ``[L^3 M^-1 T^-2]``; dimensionless is ``[1]``."""
-        parts = []
-        for symbol, exp in (
-            ("L", self.length),
-            ("M", self.mass),
-            ("T", self.time),
-            ("Θ", self.temperature),
-            ("Q2", self.charge2),
-        ):
-            if exp == 0:
-                continue
-            parts.append(symbol if exp == 1 else f"{symbol}^{exp}")
+        axes = zip(("L", "M", "T", "Θ", "Q2"), self._num)
+        exps = [(symbol, Fraction(n, self._den)) for symbol, n in axes if n]
+        parts = [symbol if exp == 1 else f"{symbol}^{exp}" for symbol, exp in exps]
         return "[" + " ".join(parts) + "]" if parts else "[1]"
 
     def __str__(self) -> str:
         return self.compact()
+
+
+def _reduced(num: tuple[int, ...], den: int) -> Dimension:
+    """Every Dimension is built here: num/den (den > 0) in lowest terms."""
+    g = 1 if den == 1 else math.gcd(den, *num)
+    dim = object.__new__(Dimension)
+    object.__setattr__(dim, "_num", num if g == 1 else tuple(x // g for x in num))
+    object.__setattr__(dim, "_den", den // g)
+    return dim
 
 
 DIMENSIONLESS = Dimension()
@@ -161,23 +176,11 @@ ENERGY = MASS * LENGTH**2 / TIME**2
 ENTROPY = ENERGY / TEMPERATURE
 MASS_DENSITY = MASS / VOLUME
 
-_JSON_AXES = {
-    "L": "length",
-    "M": "mass",
-    "T": "time",
-    "Theta": "temperature",
-    "Q2": "charge2",
-}
-
 
 def dimension_to_mapping(dim: Dimension) -> dict[str, list[int]]:
     """JSON form: nonzero exponents only, each as [numerator, denominator]."""
-    out: dict[str, list[int]] = {}
-    for key, attr in _JSON_AXES.items():
-        exp: Fraction = getattr(dim, attr)
-        if exp != 0:
-            out[key] = [exp.numerator, exp.denominator]
-    return out
+    axes = ((key, n, math.gcd(n, dim._den)) for key, n in zip(_JSON_AXES, dim._num) if n)
+    return {key: [n // g, dim._den // g] for key, n, g in axes}
 
 
 def dimension_from_mapping(data: object) -> Dimension:
@@ -309,24 +312,18 @@ ONE = Quantity(1, 0.0, DIMENSIONLESS)
 
 
 def mul(a: Quantity, b: Quantity) -> Quantity:
-    dim = a.dimension * b.dimension
-    sign = a.sign * b.sign
-    if sign == 0:
-        return zero(dim)
-    return Quantity(sign, a.log10 + b.log10, dim)
+    # an exact-zero operand needs no branch here or in div: sign 0 zeroes the log10
+    return Quantity(a.sign * b.sign, a.log10 + b.log10, a.dimension * b.dimension)
 
 
 def div(a: Quantity, b: Quantity) -> Quantity:
     if b.sign == 0:
         raise ZeroDivisionError("division by an exact-zero quantity")
-    dim = a.dimension / b.dimension
-    if a.sign == 0:
-        return zero(dim)
-    return Quantity(a.sign * b.sign, a.log10 - b.log10, dim)
+    return Quantity(a.sign * b.sign, a.log10 - b.log10, a.dimension / b.dimension)
 
 
 def pow_rational(a: Quantity, p: Rational) -> Quantity:
-    p = _as_fraction(p)
+    p = _exponent(p)
     dim = a.dimension**p
     if a.sign == 0:
         if p <= 0:
@@ -423,11 +420,24 @@ def number(value: object, what: str) -> float:
     return float(value)
 
 
+def parse_float(text: str, what: str) -> float:
+    """A literal as a float; one with a nonzero digit that underflows to 0.0 is refused.
+
+    Non-finite values are left to ``number`` and ``Quantity.from_value``."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise InputError(f"{what}: {text!r} is not a number") from None
+    if value == 0 and any(c in "123456789" for c in text.lower().partition("e")[0]):
+        raise InputError(f"{what}: {text.strip()} is nonzero but below double range")
+    return value
+
+
 def read_json_object(path: str, what: str) -> dict[str, object]:
     """The JSON object in file ``path``.  OSError is left to the caller."""
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=lambda text: parse_float(text, path))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise InputError(f"malformed JSON in {path}: {exc}") from None
     if not isinstance(doc, dict):
@@ -496,7 +506,7 @@ def interval_mul(a: LogInterval, b: LogInterval) -> LogInterval:
 
 
 def interval_pow(a: LogInterval, p: Rational) -> LogInterval:
-    p = _as_fraction(p)
+    p = _exponent(p)
     return LogInterval(
         a.center * float(p), a.halfwidth * abs(float(p)), a.dimension**p
     )

@@ -311,7 +311,7 @@ def test_domain_errors_exit_three(run_cli, tmp_path):
     assert "t0 must not exceed t1" in err
 
 
-# non-finite, beyond-double and undecodable values are malformed, not
+# non-finite, beyond-double, below-double and undecodable values are malformed, not
 # unphysical; a file's bytes go to the path appended to argv
 _HUGE = b"1" + b"0" * 400
 _MALFORMED = {
@@ -319,6 +319,9 @@ _MALFORMED = {
     "age-overflows": (["epoch", "matter", "--age-years", "1e400"], None),
     "t0-nan": (["epoch", "radiation", "--E1-ratio", "1", "--t1", "1", "--t0", "nan"], None),
     "scenario-overflows": (["report"], b'{"rho_kg_m3": 1e400}'),
+    "rho-underflows": (["epoch", "matter", "--rho", "1e-400"], None),
+    "t0-underflows": (["epoch", "radiation", "--E1-ratio", "1", "--t1", "1", "--t0", "1e-400"], None),
+    "scenario-underflows": (["report"], b'{"rho_kg_m3": 1e-400}'),
     "scenario-huge-int": (["report"], b'{"rho_kg_m3": ' + _HUGE + b"}"),
     "scenario-null": (["report"], b'{"rho_kg_m3": null}'),
     "scenario-not-utf8": (["report"], b'{"constants_profile": "\xff"}'),
@@ -342,6 +345,13 @@ def test_malformed_values_exit_two(run_cli, tmp_path, argv, content):
     code, out, err = run_cli(argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_t0_zero_spellings_still_mean_zero(run_cli):
+    base = ["epoch", "radiation", "--E1-ratio", "1", "--t1", "1", "--t0"]
+    outputs = [run_cli([*base, zero]) for zero in ("0", "0.0", "-0", "0e-400")]
+    assert outputs[0][0] == 0 and "unbounded as t0 -> 0" in outputs[0][1]
+    assert all(out == outputs[0] for out in outputs)
 
 
 def test_unknown_profile_exits_two(run_cli):

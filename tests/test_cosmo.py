@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
@@ -313,6 +314,22 @@ def test_ops_radiation_against_quadrature():
     expected, _ = quad(rate, t0_v, t1_v)
     ops = ops_radiation(make(e1_v, ENERGY), make(t1_v, TIME), make(t0_v, TIME))
     assert ops.to_value() == pytest.approx(expected, rel=1e-6)
+
+
+@pytest.mark.parametrize("gap", [1e-11, 1e-12, 1e-13])
+def test_ops_radiation_near_equal_times_against_mpmath(gap):
+    # t1 - sqrt(t1 t0) cancels almost completely as t0 -> t1; a 50-digit
+    # oracle fed the same log10 inputs pins the tail to 12 digits
+    e1, t1 = make(3.0e-13, ENERGY), make(4.4e17, TIME)
+    t0 = Quantity(1, t1.log10 + math.log10(1.0 - gap), TIME)
+    ops = ops_radiation(e1, t1, t0, PAPER)
+    with mpmath.workdps(50):
+        e1_m, t1_m, t0_m, hbar_m = (
+            mpmath.power(10, mpmath.mpf(q.log10)) for q in (e1, t1, t0, get(PAPER, "hbar"))
+        )
+        expected = 4 * e1_m * (t1_m - mpmath.sqrt(t1_m * t0_m)) / (mpmath.pi * hbar_m)
+        got = mpmath.power(10, mpmath.mpf(ops.log10))
+        assert abs(got / expected - 1) < 1e-12
 
 
 @given(

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,7 @@ from cosmocap.dimq import (
     make,
     mul,
     number,
+    parse_float,
     pow_rational,
     quantity_from_jsonable,
     quantity_to_jsonable,
@@ -83,6 +86,19 @@ def test_number_accepts_only_finite_json_numbers():
             number(bad, "x")
 
 
+def test_parse_float_refuses_only_underflow():
+    zeros = ("0", "0.0", "-0", "0e5", " 0.000e-400 ")
+    assert [parse_float(z, "x") for z in zeros] == [0.0] * len(zeros)
+    assert parse_float("5e-324", "x") == 5e-324
+    # non-finite values are for number() and make() to refuse
+    assert parse_float("1e400", "x") == math.inf
+    for bad in ("1e-400", "-1E-400", "0.0001e-330", "1_0e-400"):
+        with pytest.raises(InputError, match="below double range"):
+            parse_float(bad, "x")
+    with pytest.raises(InputError, match="not a number"):
+        parse_float("abc", "x")
+
+
 def test_quantity_validates_sign_and_log():
     with pytest.raises(ValueError):
         Quantity(2, 0.0)
@@ -129,6 +145,49 @@ def test_dimension_rejects_float_exponent():
         LENGTH**0.75
     with pytest.raises(TypeError):
         Dimension(length=1.5)
+
+
+# rational 5-vectors with denominators up to 12, as profile files and the
+# benchmark's algebra chains build them
+exponents = st.fractions(min_value=-12, max_value=12, max_denominator=12)
+vectors = st.tuples(*[exponents] * 5)
+AXES = ("length", "mass", "time", "temperature", "charge2")
+
+
+def axes(dim):
+    return tuple(getattr(dim, name) for name in AXES)
+
+
+@given(vectors, vectors, st.fractions(min_value=-2, max_value=2, max_denominator=12))
+def test_dimension_arithmetic_matches_fractions(u, v, p):
+    a, b = Dimension(*u), Dimension(**dict(zip(AXES, v)))
+    assert axes(a) == u and all(type(e) is Fraction for e in axes(a))
+    assert axes(a * b) == tuple(x + y for x, y in zip(u, v))
+    assert axes(a / b) == tuple(x - y for x, y in zip(u, v))
+    assert axes(a**p) == tuple(x * p for x in u)
+    assert (a * b) / b == a and hash((a * b) / b) == hash(a)
+
+
+def test_dimension_equal_however_built():
+    pairs = [
+        (Dimension(length=Fraction(2, 4)), LENGTH ** Fraction(1, 2)),
+        (Dimension(1, 1, -2), ENERGY / LENGTH),
+        (DIMENSIONLESS, (ENERGY ** Fraction(2, 3)) ** 0),
+        (LENGTH ** Fraction(3, 4) * LENGTH ** Fraction(1, 4), LENGTH),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+    assert LENGTH != MASS and LENGTH != 1
+
+
+def test_dimension_is_immutable_and_round_trips():
+    dim = ENERGY / Dimension(temperature=1) * Dimension(charge2=Fraction(-3, 8))
+    with pytest.raises(AttributeError):
+        dim.length = Fraction(1)
+    with pytest.raises(AttributeError):
+        dim.extra = 1
+    assert eval(repr(dim), {"Dimension": Dimension, "Fraction": Fraction}) == dim
+    assert copy.deepcopy(dim) == dim and pickle.loads(pickle.dumps(dim)) == dim
 
 
 def test_dimension_render():
