@@ -212,8 +212,8 @@ def _load_document(path: str) -> Mapping[str, object]:
 
 
 def _parse_species(raw: object) -> cosmo.SpeciesTable:
-    if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
-        raise InputError("scenario key 'species' must be an array")
+    if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)) or not raw:
+        raise InputError("scenario key 'species' must be a non-empty array")
     entries = []
     for i, entry in enumerate(raw):
         if not isinstance(entry, Mapping):
@@ -222,19 +222,7 @@ def _parse_species(raw: object) -> cosmo.SpeciesTable:
         missing = sorted(_SPECIES_KEYS - set(entry))
         if missing:
             raise InputError(f"species[{i}] missing key: {missing[0]!r}")
-        name, pol, pa, stat = (
-            entry["name"],
-            entry["polarizations"],
-            entry["particle_antiparticle"],
-            entry["statistics"],
-        )
-        if not isinstance(name, str) or not isinstance(stat, str):
-            raise InputError(f"species[{i}]: name and statistics must be strings")
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in (pol, pa)):
-            raise InputError(
-                f"species[{i}]: polarizations and particle_antiparticle must be integers"
-            )
-        entries.append(cosmo.Species(name, pol, pa, stat))
+        entries.append(cosmo.Species(**entry))  # Species checks each field's value
     return cosmo.SpeciesTable(tuple(entries))
 
 
@@ -303,6 +291,9 @@ def _build_scenario(
 
 
 def cmd_report(args: argparse.Namespace) -> Table:
+    tol = args.tolerance_decades
+    if not tol > 0:  # the rule dimq.approx_eq applies; it rejects nan as well
+        raise InputError(f"--tolerance-decades: must be > 0, got {tol!r}")
     if args.scenario is not None and args.default_paper:
         raise InputError("give either a scenario file or --default-paper, not both")
     if args.scenario is None and not args.default_paper:
@@ -349,7 +340,6 @@ def cmd_report(args: argparse.Namespace) -> Table:
             ("fleet.bits", baseline.fleet_bits(fleet), _headline),
         ),
     ]
-    tol = args.tolerance_decades
     for label, a in (
         ("inflation ops per Hubble vs critical ops", infl.ops_per_hubble_time),
         ("holographic bits vs critical ops", report.bits_holographic),
@@ -424,7 +414,14 @@ def cmd_epoch_inflation(args: argparse.Namespace) -> Table:
     if args.hubble is None and args.growth is None:
         raise InputError("inflation needs --H, --growth, or both")
     rec = None if args.hubble is None else cosmo.inflation_bounds(make(args.hubble, RATE), profile)
-    total = None if args.growth is None else cosmo.inflation_total_ops(args.growth)
+    total = None
+    if args.growth is not None:
+        center, sep, halfwidth = args.growth.partition(":")
+        if not sep:
+            raise InputError("--growth must look like CENTER:HALFWIDTH, e.g. 10:6")
+        # the constructor a scenario's inflation_growth_log10 goes through
+        growth = LogInterval(parse_float(center, "--growth"), parse_float(halfwidth, "--growth"))
+        total = cosmo.inflation_total_ops(growth)
     rows = [_row(None, ("epoch", "inflation"))]
     for key, label in (
         ("ops_per_sec", "ops/s: {}"),
@@ -488,11 +485,8 @@ def cmd_constants(args: argparse.Namespace) -> Table:
 
 def cmd_manmade(args: argparse.Namespace) -> Table:
     fleet = baseline.default_fleet()
-    if args.scenario is not None:
-        doc = _load_document(args.scenario)
-        reject_unknown(doc, _SCENARIO_KEYS, "scenario")
-        if doc.get("fleet") is not None:
-            fleet = _parse_fleet(doc["fleet"])
+    if args.scenario is not None:  # read as report reads it, so refused the same way
+        _, fleet = _build_scenario(_load_document(args.scenario), None)
     ops, historical = baseline.fleet_ops(fleet), baseline.historical_ops(fleet)
     rows = [
         _row("ops (recent era):  {}", ("ops", ops, _headline)),
@@ -503,29 +497,6 @@ def cmd_manmade(args: argparse.Namespace) -> Table:
 
 
 # ---------------------------------------------------------------- wiring
-
-
-def _growth_flag(text: str) -> LogInterval:
-    center, sep, halfwidth = text.partition(":")
-    if not sep:
-        raise argparse.ArgumentTypeError(
-            "growth must look like CENTER:HALFWIDTH, e.g. 10:6"
-        )
-    try:
-        return LogInterval(float(center), float(halfwidth))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _tolerance_flag(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    # the rule dimq.approx_eq applies; it rejects nan as well
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
-    return value
 
 
 class _FloatFlag(argparse.Action):
@@ -540,49 +511,37 @@ class _FloatFlag(argparse.Action):
         setattr(namespace, self.dest, parse_float(values, option_string))
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--profile", help="constants profile: paper, codata, or a JSON profile file"
-    )
-    common.add_argument(
-        "--tolerance-decades",
-        type=_tolerance_flag,
-        default=DEFAULT_TOLERANCE_DECADES,
-        help="agreement tolerance for consistency lines (default 1.5)",
-    )
-    common.add_argument("--json", dest="as_json", action="store_true")
-    return common
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
     parser = argparse.ArgumentParser(
         prog="cosmocap",
         description="Physical limits of computation, from one laptop to the whole sky.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_report = sub.add_parser(
-        "report", parents=[common], help="full capacity report for a scenario"
-    )
+    p_report = sub.add_parser("report", help="full capacity report for a scenario")
     p_report.add_argument("scenario", nargs="?", help="scenario JSON file")
     p_report.add_argument(
         "--default-paper",
         action="store_true",
         help="use the built-in 1e-27 kg/m3, 1e10 yr scenario",
     )
+    p_report.add_argument(
+        "--tolerance-decades",
+        action=_FloatFlag,
+        default=DEFAULT_TOLERANCE_DECADES,
+        help="agreement tolerance for consistency lines (default 1.5)",
+    )
     p_report.set_defaults(handler=cmd_report)
 
     p_epoch = sub.add_parser("epoch", help="one epoch's numbers")
     esub = p_epoch.add_subparsers(dest="epoch", required=True)
 
-    e_matter = esub.add_parser("matter", parents=[common])
+    e_matter = esub.add_parser("matter")
     e_matter.add_argument("--rho", action=_FloatFlag, default=cosmo.PAPER_RHO_KG_M3, help="kg/m3")
     e_matter.add_argument("--age-years", action=_FloatFlag, default=cosmo.PAPER_AGE_YEARS)
     e_matter.set_defaults(handler=cmd_epoch_matter)
 
-    e_rad = esub.add_parser("radiation", parents=[common])
+    e_rad = esub.add_parser("radiation")
     e1 = e_rad.add_mutually_exclusive_group(required=True)
     e1.add_argument("--E1-joules", dest="e1_joules", action=_FloatFlag)
     e1.add_argument(
@@ -596,26 +555,29 @@ def _build_parser() -> argparse.ArgumentParser:
     e_rad.add_argument("--temperature-k", action=_FloatFlag)
     e_rad.set_defaults(handler=cmd_epoch_radiation)
 
-    e_inf = esub.add_parser("inflation", parents=[common])
+    e_inf = esub.add_parser("inflation")
     e_inf.add_argument("--H", dest="hubble", action=_FloatFlag, help="1/seconds")
-    e_inf.add_argument(
-        "--growth", type=_growth_flag, help="linear growth band as CENTER:HALFWIDTH in decades"
-    )
+    e_inf.add_argument("--growth", help="linear growth band as CENTER:HALFWIDTH in decades")
     e_inf.set_defaults(handler=cmd_epoch_inflation)
 
-    p_large = sub.add_parser("large-numbers", parents=[common])
+    p_large = sub.add_parser("large-numbers")
     p_large.add_argument("--rho", action=_FloatFlag, help="kg/m3 (default: critical density)")
     p_large.add_argument("--age-years", action=_FloatFlag, default=cosmo.PAPER_AGE_YEARS)
     p_large.set_defaults(handler=cmd_large_numbers)
 
-    p_const = sub.add_parser("constants", parents=[common])
+    p_const = sub.add_parser("constants")
     p_const.add_argument("name", nargs="?")
     p_const.set_defaults(handler=cmd_constants)
 
-    p_man = sub.add_parser("manmade", parents=[common])
+    p_man = sub.add_parser("manmade")
     p_man.add_argument("--scenario", help="scenario JSON file (fleet key)")
     p_man.set_defaults(handler=cmd_manmade)
 
+    profiled = (p_report, e_matter, e_rad, e_inf, p_large, p_const)
+    for p in profiled:
+        p.add_argument("--profile", help="constants profile: paper, codata, or a JSON file")
+    for p in (*profiled, p_man):
+        p.add_argument("--json", dest="as_json", action="store_true")
     return parser
 
 

@@ -42,10 +42,12 @@ from .dimq import (
     TIME,
     VOLUME,
     DimensionError,
+    InputError,
     LogInterval,
     Quantity,
     interval_pow,
     make,
+    number,
     require,
     scalar,
 )
@@ -103,12 +105,19 @@ class Species:
     statistics: str  # "boson" or "fermion"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.polarizations, int) or self.polarizations < 1:
-            raise ValueError("polarizations must be a positive integer")
+        # every rule on a species' fields, for species built in code or read from a file
+        if not isinstance(self.name, str):
+            raise InputError("species name must be a string")
+        what = f"species {self.name!r}"
+        if any(isinstance(v, bool) or not isinstance(v, int)
+               for v in (self.polarizations, self.particle_antiparticle)):
+            raise InputError(f"{what}: polarizations and particle_antiparticle must be integers")
+        if number(self.polarizations, f"{what}: polarizations") < 1:
+            raise InputError(f"{what}: polarizations must be >= 1")
         if self.particle_antiparticle not in (1, 2):
-            raise ValueError("particle_antiparticle must be 1 or 2")
+            raise InputError(f"{what}: particle_antiparticle must be 1 or 2")
         if self.statistics not in ("boson", "fermion"):
-            raise ValueError(f"statistics must be boson or fermion, got {self.statistics!r}")
+            raise InputError(f"{what}: statistics must be boson or fermion, got {self.statistics!r}")
 
     @property
     def weight(self) -> Fraction:
@@ -416,19 +425,18 @@ def full_report(scenario: Scenario) -> CapacityReport:
 
     profile = scenario.profile
     ops = ops_matter(scenario.rho, scenario.age, profile)
+    # bits_matter and bits_holographic without recomputing their inputs
+    ops_c = ops_critical(scenario.age, profile)
+    volume = horizon_volume(scenario.age, profile)
+    entropy = entropy_in_volume(scenario.rho, volume, scenario.species, profile)
     return CapacityReport(
         ops_matter=ops,
-        ops_critical=ops_critical(scenario.age, profile),
+        ops_critical=ops_c,
         ops_with_gravity=apply_gravity(ops, scenario.include_gravity),
-        bits_matter=bits_matter(scenario.rho, scenario.age, scenario.species, profile),
-        bits_holographic=bits_holographic(scenario.age, profile),
+        bits_matter=max_bits(entropy, profile),
+        bits_holographic=ops_c,
         blackbody_T=blackbody_temperature(scenario.rho, scenario.species, profile),
-        entropy_total=entropy_in_volume(
-            scenario.rho,
-            horizon_volume(scenario.age, profile),
-            scenario.species,
-            profile,
-        ),
+        entropy_total=entropy,
         matter_radiation_transition=scenario.matter_radiation_transition,
         inflation=inflation_bounds(scenario.hubble, profile),
         inflation_total_ops=(

@@ -35,7 +35,6 @@ __all__ = [
     "add",
     "approx_eq",
     "div",
-    "interval_mul",
     "interval_pow",
     "make",
     "mul",
@@ -449,10 +448,10 @@ def read_json_object(path: str, what: str) -> dict[str, object]:
 class LogInterval:
     """Order-of-magnitude band 10^(center ± halfwidth), always positive.
 
-    Multiplication adds centers and adds halfwidths; a power scales the
-    center by the exponent and the halfwidth by its absolute value.  A
-    zero-halfwidth interval behaves exactly like the quantity at its
-    center.
+    A power scales the center by the exponent and the halfwidth by its
+    absolute value.  A growth band read from the command line or a
+    scenario file is built here, so a bad center or halfwidth is
+    malformed input.
     """
 
     center: float
@@ -461,33 +460,13 @@ class LogInterval:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.center):
-            raise ValueError(f"center must be finite, got {self.center!r}")
+            raise InputError(f"center must be finite, got {self.center!r}")
         if not (math.isfinite(self.halfwidth) and self.halfwidth >= 0):
-            raise ValueError(
+            raise InputError(
                 f"halfwidth must be finite and >= 0, got {self.halfwidth!r}"
             )
         if not isinstance(self.dimension, Dimension):
             raise TypeError("dimension must be a Dimension")
-
-    @staticmethod
-    def from_quantity(q: Quantity, halfwidth: float = 0.0) -> "LogInterval":
-        if q.sign != 1:
-            raise ValueError("only positive quantities form log intervals")
-        return LogInterval(q.log10, halfwidth, q.dimension)
-
-    def center_quantity(self) -> Quantity:
-        return Quantity(1, self.center, self.dimension)
-
-    def low(self) -> Quantity:
-        return Quantity(1, self.center - self.halfwidth, self.dimension)
-
-    def high(self) -> Quantity:
-        return Quantity(1, self.center + self.halfwidth, self.dimension)
-
-    def __mul__(self, other: "LogInterval") -> "LogInterval":
-        if not isinstance(other, LogInterval):
-            return NotImplemented
-        return interval_mul(self, other)
 
     def __pow__(self, p: Rational) -> "LogInterval":
         return interval_pow(self, p)
@@ -499,17 +478,12 @@ class LogInterval:
         return f"{body} {self.dimension.compact()}"
 
 
-def interval_mul(a: LogInterval, b: LogInterval) -> LogInterval:
-    return LogInterval(
-        a.center + b.center, a.halfwidth + b.halfwidth, a.dimension * b.dimension
-    )
-
-
 def interval_pow(a: LogInterval, p: Rational) -> LogInterval:
     p = _exponent(p)
-    return LogInterval(
-        a.center * float(p), a.halfwidth * abs(float(p)), a.dimension**p
-    )
+    center, halfwidth = a.center * float(p), a.halfwidth * abs(float(p))
+    if math.isinf(center) or math.isinf(halfwidth):  # a result out of range, not bad input
+        raise OverflowError(f"{a} to the power {p} does not fit in a float")
+    return LogInterval(center, halfwidth, a.dimension**p)
 
 
 def quantity_to_jsonable(q: Quantity) -> dict[str, object]:

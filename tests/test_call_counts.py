@@ -9,6 +9,7 @@ import cProfile
 import pstats
 
 from cosmocap.cosmo import full_report, paper_scenario
+from cosmocap.dimq import Quantity
 
 # Fraction.__new__ calls in one paper report.  Dimension arithmetic builds
 # none; the species weights and the horizon entropy build the 11 left.
@@ -29,3 +30,22 @@ def test_full_report_builds_few_fractions():
         if name == "__new__" and path.replace("\\", "/").endswith("/fractions.py")
     )
     assert 0 < fractions <= MAX_FRACTIONS_PER_REPORT
+
+
+# Quantity constructions in one full_report of a prebuilt paper scenario:
+# 95 when each value is computed once, so that bits_matter reuses the
+# horizon entropy and bits_holographic is the ops_critical value.
+MAX_QUANTITIES_PER_REPORT = 100
+
+
+def test_full_report_builds_each_quantity_once():
+    scenario = paper_scenario()
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        full_report(scenario)
+    finally:
+        profiler.disable()
+    post_init = Quantity.__post_init__.__code__
+    quantities = sum(e.callcount for e in profiler.getstats() if e.code is post_init)
+    assert 0 < quantities <= MAX_QUANTITIES_PER_REPORT

@@ -1,10 +1,12 @@
+import argparse
+import itertools
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from cosmocap import cosmo
+from cosmocap import cli, cosmo
 from cosmocap.constants import PAPER, get
 from cosmocap.dimq import (
     MASS_DENSITY,
@@ -314,6 +316,22 @@ def test_domain_errors_exit_three(run_cli, tmp_path):
 # non-finite, beyond-double, below-double and undecodable values are malformed, not
 # unphysical; a file's bytes go to the path appended to argv
 _HUGE = b"1" + b"0" * 400
+
+
+def _species(field: bytes) -> bytes:
+    """A scenario with one photon-like species whose ``field`` is replaced."""
+    fields = {
+        b'"polarizations"': b'"polarizations": 2',
+        b'"particle_antiparticle"': b'"particle_antiparticle": 1',
+        b'"statistics"': b'"statistics": "boson"',
+    }
+    fields[field.partition(b":")[0]] = field
+    return b'{"species": [{"name": "x", ' + b", ".join(fields.values()) + b"}]}"
+
+
+def _growth(center: bytes, halfwidth: bytes) -> bytes:
+    return b'{"inflation_growth_log10": {"center": %s, "halfwidth": %s}}' % (center, halfwidth)
+
 _MALFORMED = {
     "rho-nan": (["epoch", "matter", "--rho", "nan"], None),
     "age-overflows": (["epoch", "matter", "--age-years", "1e400"], None),
@@ -333,6 +351,19 @@ _MALFORMED = {
         ["constants"],
         b'{"name": "paper", "constants": {"x": {"value": 1.0, "dims": {"L": [1, 0]}}}}',
     ),
+    # a field value outside its allowed set is malformed too
+    "species-no-polarizations": (["report"], _species(b'"polarizations": 0')),
+    "species-huge-polarizations": (["report"], _species(b'"polarizations": ' + _HUGE)),
+    "species-quark": (["report"], _species(b'"statistics": "quark"')),
+    "species-three-antiparticles": (["report"], _species(b'"particle_antiparticle": 3')),
+    "species-empty": (["report"], b'{"species": []}'),
+    # the same growth bands from a scenario file and from --growth
+    "growth-negative-halfwidth": (["report"], _growth(b"10", b"-1")),
+    "growth-underflows": (["report"], _growth(b"1e-400", b"1")),
+    "growth-nan": (["report"], _growth(b"NaN", b"1")),
+    "growth-flag-negative-halfwidth": (["epoch", "inflation", "--growth", "10:-1"], None),
+    "growth-flag-underflows": (["epoch", "inflation", "--growth", "1e-400:1"], None),
+    "growth-flag-nan": (["epoch", "inflation", "--growth", "nan:1"], None),
 }
 
 
@@ -345,6 +376,59 @@ def test_malformed_values_exit_two(run_cli, tmp_path, argv, content):
     code, out, err = run_cli(argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# every numeric flag of every command, with "X" where its value goes
+_NUMERIC_FLAGS = {
+    "--rho": ["epoch", "matter", "--rho", "X"],
+    "--age-years": ["epoch", "matter", "--age-years", "X"],
+    "--E1-joules": ["epoch", "radiation", "--E1-joules", "X", "--t1", "1", "--t0", "0"],
+    "--E1-ratio": ["epoch", "radiation", "--E1-ratio", "X", "--t1", "1", "--t0", "0"],
+    "--t1": ["epoch", "radiation", "--E1-ratio", "1", "--t1", "X", "--t0", "0"],
+    "--t0": ["epoch", "radiation", "--E1-ratio", "1", "--t1", "1", "--t0", "X"],
+    "--temperature-k": [
+        "epoch", "radiation", "--E1-ratio", "1", "--t1", "1", "--t0", "0", "--temperature-k", "X",
+    ],
+    "--H": ["epoch", "inflation", "--H", "X"],
+    "--growth-center": ["epoch", "inflation", "--growth", "X:6"],
+    "--growth-halfwidth": ["epoch", "inflation", "--growth", "10:X"],
+    "large-numbers --rho": ["large-numbers", "--rho", "X"],
+    "large-numbers --age-years": ["large-numbers", "--age-years", "X"],
+    "--tolerance-decades": ["report", "--default-paper", "--tolerance-decades", "X"],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "1e-400"])
+@pytest.mark.parametrize("argv", _NUMERIC_FLAGS.values(), ids=list(_NUMERIC_FLAGS))
+def test_numeric_flags_refuse_nan_and_underflow(run_cli, argv, value):
+    code, out, err = run_cli([a.replace("X", value) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_numeric_flag_table_covers_the_parser():
+    """Every flag that takes a value, except the two that name files, is in the table."""
+    parser = cli._build_parser()
+    seen, todo = set(), [((), parser)]
+    while todo:
+        path, p = todo.pop()
+        for action in p._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                todo += [((*path, name), sub) for name, sub in action.choices.items()]
+            elif action.option_strings and action.nargs != 0:
+                seen.add((path, action.option_strings[0]))
+    listed = set()
+    for argv in _NUMERIC_FLAGS.values():
+        command = tuple(itertools.takewhile(lambda a: not a.startswith("-"), argv))
+        listed.add((command, argv[next(i for i, a in enumerate(argv) if "X" in a) - 1]))
+    named_files = {(path, flag) for path, flag in seen if flag in ("--profile", "--scenario")}
+    assert seen - named_files == listed
+
+
+def test_growth_band_too_wide_to_square_exits_three(run_cli):
+    code, out, err = run_cli(["epoch", "inflation", "--growth", "1e308:1"])
+    assert (code, out) == (3, "")
+    assert "does not fit in a float" in err
 
 
 def test_t0_zero_spellings_still_mean_zero(run_cli):
@@ -379,6 +463,14 @@ def test_argparse_level_failures(run_cli):
     assert code == 2
     code, _, _ = run_cli(["epoch", "inflation", "--growth", "10"])
     assert code == 2
+    # flags only the commands that read them accept
+    for argv in (
+        ["manmade", "--profile", "paper"],
+        ["epoch", "matter", "--tolerance-decades", "1"],
+        ["constants", "--tolerance-decades", "1"],
+    ):
+        code, out, _ = run_cli(argv)
+        assert (code, out) == (2, "")
 
 
 def test_help_exits_zero(run_cli):

@@ -42,6 +42,7 @@ from cosmocap.dimq import (
     TEMPERATURE,
     TIME,
     DimensionError,
+    InputError,
     LogInterval,
     Quantity,
     make,
@@ -91,6 +92,19 @@ def test_species_validation():
         Species("x", 2, 3, "boson")
     with pytest.raises(ValueError):
         Species("x", 2, 1, "anyon")
+
+
+def test_species_fields_are_checked_by_species():
+    for fields in (
+        (5, 2, 1, "boson"),
+        ("x", True, 1, "boson"),
+        ("x", 2.0, 1, "boson"),
+        ("x", 10**400, 1, "boson"),
+        ("x", 2, 3, "boson"),
+        ("x", 2, 1, "quark"),
+    ):
+        with pytest.raises(InputError):
+            Species(*fields)
 
 
 def test_species_table_total_and_empty():
