@@ -79,7 +79,6 @@ from .dimq import (
     add,
     approx_eq,
     div,
-    interval_pow,
     make,
     mul,
     pow_rational,

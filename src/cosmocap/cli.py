@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 from . import baseline, cosmo
 from .constants import (
@@ -40,16 +40,17 @@ from .dimq import (
     RATE,
     TEMPERATURE,
     TIME,
+    REQUIRED,
     InputError,
     LogInterval,
     Quantity,
-    dimension_to_mapping,
+    Reader,
     make,
     number,
     parse_float,
     quantity_to_jsonable,
+    read_fields,
     read_json_object,
-    reject_unknown,
     scalar,
 )
 from .largenum import identities
@@ -62,18 +63,6 @@ EXIT_DOMAIN = 3
 
 # identity residuals count as holding when within this of 1
 _RESIDUAL_TOL = 1e-9
-
-_SCENARIO_KEYS = frozenset(
-    {
-        "rho_kg_m3", "age_years", "hubble_per_s", "include_gravity",
-        "constants_profile", "species", "inflation_growth_log10", "fleet",
-    }
-)
-_SPECIES_KEYS = frozenset({"name", "polarizations", "particle_antiparticle", "statistics"})
-_FLEET_KEYS = frozenset(
-    {"n_computers", "clock_rate_hz", "ops_per_cycle", "duration_s", "bits_per_computer"}
-)
-_GROWTH_KEYS = frozenset({"center", "halfwidth"})
 
 
 # ---------------------------------------------------------------- rendering
@@ -144,7 +133,8 @@ def _residual_or_fail(r: Quantity) -> str:
 
 
 def _one_decimal(q: Quantity) -> str:
-    return f"{q.to_value():.1f}"
+    """Beyond double range there is no decimal; str(q) gives the power of ten."""
+    return f"{q.to_value():.1f}" if abs(q.log10) < 300 else str(q)
 
 
 def _render_text(header: str, rows: list[Row]) -> str:
@@ -160,8 +150,7 @@ def _jsonable(value: object) -> object:
     if isinstance(value, Quantity):
         return quantity_to_jsonable(value)
     if isinstance(value, LogInterval):
-        dims = dimension_to_mapping(value.dimension)
-        return {"center": value.center, "halfwidth": value.halfwidth, "dims": dims}
+        return {"center": value.center, "halfwidth": value.halfwidth, "dims": {}}
     return value
 
 
@@ -204,87 +193,75 @@ def _age_from_years(years: float, profile: ConstantsProfile) -> Quantity:
     return make(years) * get(profile, "year_seconds")
 
 
-def _load_document(path: str) -> Mapping[str, object]:
+def _as_is(value: object, what: str) -> object:
+    return value  # the record built from it checks the value
+
+
+def _typed(kind: type, wanted: str) -> Reader:
+    """A reader that refuses any value not of type ``kind``."""
+    def read(value: object, what: str) -> object:
+        if not isinstance(value, kind):
+            raise InputError(f"{what} must be {wanted}")
+        return value
+    return read
+
+
+def _record(build: Callable[..., object], what: str, reader: Reader, *keys: str) -> Reader:
+    """A reader of an object of required ``keys``, each a parameter of ``build``."""
+    spec = dict.fromkeys(keys, (reader, REQUIRED))
+    return lambda raw, _: build(**read_fields(raw, what, spec))
+
+
+_species_entry = _record(
+    cosmo.Species, "species", _as_is, "name", "polarizations", "particle_antiparticle", "statistics"
+)
+_growth = _record(LogInterval, "inflation_growth_log10", number, "center", "halfwidth")
+_fleet = _record(
+    baseline.FleetSpec.from_counts, "fleet", number,
+    "bits_per_computer", "clock_rate_hz", "duration_s", "n_computers", "ops_per_cycle",
+)
+
+
+def _species(raw: object, what: str) -> cosmo.SpeciesTable:
+    if not isinstance(raw, list) or not raw:
+        raise InputError(f"{what} must be a non-empty array")
+    return cosmo.SpeciesTable(tuple(_species_entry(entry, what) for entry in raw))
+
+
+_SCENARIO_FIELDS = {
+    "rho_kg_m3": (number, cosmo.PAPER_RHO_KG_M3),
+    "age_years": (number, cosmo.PAPER_AGE_YEARS),
+    "hubble_per_s": (number, None),
+    "include_gravity": (_typed(bool, "true or false"), False),
+    "constants_profile": (_typed(str, "a string"), "paper"),
+    "species": (_species, cosmo.PHOTONS_ONLY),
+    "inflation_growth_log10": (_growth, None),
+    "fleet": (_fleet, baseline.default_fleet()),
+}
+
+
+def _load_scenario(
+    path: Optional[str], profile_flag: Optional[str]
+) -> tuple[cosmo.Scenario, baseline.FleetSpec]:
+    """The scenario and fleet in JSON file ``path``; every default when None."""
     try:
-        return read_json_object(path, "scenario file")
+        doc = {} if path is None else read_json_object(path, "scenario file")
     except OSError as exc:
         raise InputError(f"cannot read scenario file: {exc}") from None
-
-
-def _parse_species(raw: object) -> cosmo.SpeciesTable:
-    if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)) or not raw:
-        raise InputError("scenario key 'species' must be a non-empty array")
-    entries = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, Mapping):
-            raise InputError(f"species[{i}] must be an object")
-        reject_unknown(entry, _SPECIES_KEYS, "species")
-        missing = sorted(_SPECIES_KEYS - set(entry))
-        if missing:
-            raise InputError(f"species[{i}] missing key: {missing[0]!r}")
-        entries.append(cosmo.Species(**entry))  # Species checks each field's value
-    return cosmo.SpeciesTable(tuple(entries))
-
-
-def _parse_growth(raw: object) -> LogInterval:
-    if not isinstance(raw, Mapping):
-        raise InputError("scenario key 'inflation_growth_log10' must be an object")
-    reject_unknown(raw, _GROWTH_KEYS, "inflation_growth_log10")
-    center, halfwidth = (
-        number(raw.get(k), f"inflation_growth_log10.{k}") for k in ("center", "halfwidth")
-    )
-    return LogInterval(center, halfwidth)
-
-
-def _parse_fleet(raw: object) -> baseline.FleetSpec:
-    if not isinstance(raw, Mapping):
-        raise InputError("scenario key 'fleet' must be an object")
-    reject_unknown(raw, _FLEET_KEYS, "fleet")
-    # the keys are from_counts' parameter names
-    counts = {key: number(raw.get(key), f"fleet.{key}") for key in sorted(_FLEET_KEYS)}
-    return baseline.FleetSpec.from_counts(**counts)
-
-
-def _build_scenario(
-    doc: Mapping[str, object], profile_flag: Optional[str]
-) -> tuple[cosmo.Scenario, baseline.FleetSpec]:
-    reject_unknown(doc, _SCENARIO_KEYS, "scenario")
-
-    profile_name = profile_flag
-    if profile_name is None:
-        raw_name = doc.get("constants_profile", "paper")
-        if not isinstance(raw_name, str):
-            raise InputError("scenario key 'constants_profile' must be a string")
-        profile_name = raw_name
+    fields = read_fields(doc, "scenario", _SCENARIO_FIELDS)
+    profile_name = fields["constants_profile"] if profile_flag is None else profile_flag
     profile = _resolve_profile(profile_name)
-
-    rho_v = number(doc.get("rho_kg_m3", cosmo.PAPER_RHO_KG_M3), "scenario key 'rho_kg_m3'")
-    age_years = number(doc.get("age_years", cosmo.PAPER_AGE_YEARS), "scenario key 'age_years'")
-    hubble_v = doc.get("hubble_per_s")
-    if hubble_v is not None:
-        hubble_v = number(hubble_v, "scenario key 'hubble_per_s'")
-
-    include_gravity = doc.get("include_gravity", False)
-    if not isinstance(include_gravity, bool):
-        raise InputError("scenario key 'include_gravity' must be true or false")
-
-    raw_species, raw_growth, raw_fleet = (
-        doc.get(key) for key in ("species", "inflation_growth_log10", "fleet")
-    )
-    species = cosmo.PHOTONS_ONLY if raw_species is None else _parse_species(raw_species)
-    growth = None if raw_growth is None else _parse_growth(raw_growth)
-    fleet = baseline.default_fleet() if raw_fleet is None else _parse_fleet(raw_fleet)
-
+    hubble_v = fields["hubble_per_s"]
     scenario = cosmo.Scenario(
-        rho=make(rho_v, MASS_DENSITY),
-        age=_age_from_years(age_years, profile),
+        rho=make(fields["rho_kg_m3"], MASS_DENSITY),
+        age=_age_from_years(fields["age_years"], profile),
         hubble=None if hubble_v is None else make(hubble_v, RATE),
-        species=species,
-        include_gravity=include_gravity,
+        species=fields["species"],
+        include_gravity=fields["include_gravity"],
         profile=profile,
-        inflation_growth=growth,
+        inflation_growth=fields["inflation_growth_log10"],
     )
-    return scenario, fleet
+    return scenario, fields["fleet"]
 
 
 # ---------------------------------------------------------------- report
@@ -298,8 +275,7 @@ def cmd_report(args: argparse.Namespace) -> Table:
         raise InputError("give either a scenario file or --default-paper, not both")
     if args.scenario is None and not args.default_paper:
         raise InputError("give a scenario file or --default-paper")
-    doc = {} if args.scenario is None else _load_document(args.scenario)
-    scenario, fleet = _build_scenario(doc, args.profile)
+    scenario, fleet = _load_scenario(args.scenario, args.profile)
     report = cosmo.full_report(scenario)
     ln, infl, total = report.large_numbers, report.inflation, report.inflation_total_ops
     names = ", ".join(s.name for s in scenario.species.entries)
@@ -486,7 +462,7 @@ def cmd_constants(args: argparse.Namespace) -> Table:
 def cmd_manmade(args: argparse.Namespace) -> Table:
     fleet = baseline.default_fleet()
     if args.scenario is not None:  # read as report reads it, so refused the same way
-        _, fleet = _build_scenario(_load_document(args.scenario), None)
+        _, fleet = _load_scenario(args.scenario, None)
     ops, historical = baseline.fleet_ops(fleet), baseline.historical_ops(fleet)
     rows = [
         _row("ops (recent era):  {}", ("ops", ops, _headline)),

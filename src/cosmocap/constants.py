@@ -26,11 +26,13 @@ from .dimq import (
     LENGTH,
     MASS,
     TIME,
+    REQUIRED,
     InputError,
     Quantity,
     dimension_from_mapping,
     make,
     number,
+    read_fields,
     read_json_object,
     reject_unknown,
     require,
@@ -161,6 +163,12 @@ def mass_ratio(profile: ConstantsProfile) -> Quantity:
     return get(profile, "m_p") / get(profile, "m_e")
 
 
+_ENTRY_FIELDS = {
+    "value": (number, REQUIRED),
+    "dims": (lambda raw, _: dimension_from_mapping(raw), DIMENSIONLESS),
+}
+
+
 def profile_from_dict(data: Mapping[str, object]) -> ConstantsProfile:
     """Build a profile from fixture data.
 
@@ -180,11 +188,8 @@ def profile_from_dict(data: Mapping[str, object]) -> ConstantsProfile:
     base = _BUILTIN.get(name)
     merged = {} if base is None else dict(base.constants)
     for cid, entry in raw.items():
-        if not isinstance(entry, Mapping):
-            raise InputError(f"constant {cid!r} must be an object")
-        reject_unknown(entry, ("value", "dims"), f"constant {cid!r}")
-        value = number(entry.get("value"), f"constant {cid!r} 'value'")
-        merged[cid] = make(value, dimension_from_mapping(entry.get("dims", {})))
+        fields = read_fields(entry, f"constant {cid!r}", _ENTRY_FIELDS)
+        merged[cid] = make(fields["value"], fields["dims"])
     return ConstantsProfile(name, merged)
 
 

@@ -41,11 +41,9 @@ from .dimq import (
     TEMPERATURE,
     TIME,
     VOLUME,
-    DimensionError,
     InputError,
     LogInterval,
     Quantity,
-    interval_pow,
     make,
     number,
     require,
@@ -193,9 +191,14 @@ def apply_gravity(ops: Quantity, include: bool) -> Quantity:
 
 
 def d_factor(species: SpeciesTable) -> Quantity:
-    """(π²/30)·Σ n_eff, the blackbody entropy prefactor."""
+    """(π²/30)·Σ n_eff, the blackbody entropy prefactor.
+
+    Σ n_eff is exact and may lie beyond double range, so its log10 comes
+    from its integer numerator and denominator, never from a float.
+    """
     weight = species.total_weight()
-    return scalar(math.pi**2 / 30.0) * scalar(float(weight))
+    log10_weight = math.log10(weight.numerator) - math.log10(weight.denominator)
+    return scalar(math.pi**2 / 30.0) * Quantity(1, log10_weight)
 
 
 def blackbody_temperature(
@@ -208,9 +211,8 @@ def blackbody_temperature(
     About 18 K for today's ~1e-27 kg/m³ with photons alone.
     """
     require(rho, MASS_DENSITY, "rho")
-    weight = species.total_weight()
     hbar, c, k_b = get(profile, "hbar"), get(profile, "c"), get(profile, "k_B")
-    inner = scalar(30.0) * hbar**3 * c**5 * rho / scalar(math.pi**2 * float(weight))
+    inner = hbar**3 * c**5 * rho / d_factor(species)
     temperature = inner**_QUARTER / k_b
     assert temperature.dimension == TEMPERATURE
     return temperature
@@ -353,11 +355,10 @@ def inflation_bounds(hubble: Quantity, profile: ConstantsProfile = PAPER) -> Inf
 
 def inflation_total_ops(growth: LogInterval) -> LogInterval:
     """Square the linear growth band: 10^{10±6} sizes → 10^{20±12} ops."""
-    if not growth.dimension.is_dimensionless:
-        raise DimensionError(
-            "growth must be dimensionless", growth.dimension, DIMENSIONLESS
-        )
-    return interval_pow(growth, 2)
+    center, halfwidth = 2 * growth.center, 2 * growth.halfwidth
+    if math.isinf(center) or math.isinf(halfwidth):  # a result out of range, not bad input
+        raise OverflowError(f"{growth} to the power 2 does not fit in a float")
+    return LogInterval(center, halfwidth)
 
 
 @dataclass(frozen=True)
@@ -386,12 +387,6 @@ class Scenario:
             transition = make(7.0e5) * get(self.profile, "year_seconds")
             object.__setattr__(self, "matter_radiation_transition", transition)
         require(self.matter_radiation_transition, TIME, "matter_radiation_transition")
-        if self.inflation_growth is not None and not self.inflation_growth.dimension.is_dimensionless:
-            raise DimensionError(
-                "inflation_growth must be dimensionless",
-                self.inflation_growth.dimension,
-                DIMENSIONLESS,
-            )
 
 
 def paper_scenario(profile: ConstantsProfile = PAPER) -> Scenario:

@@ -23,7 +23,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 __all__ = [
     "DEFAULT_TOLERANCE_DECADES",
@@ -32,15 +32,17 @@ __all__ = [
     "InputError",
     "LogInterval",
     "Quantity",
+    "REQUIRED",
+    "Reader",
     "add",
     "approx_eq",
     "div",
-    "interval_pow",
     "make",
     "mul",
     "number",
     "parse_float",
     "pow_rational",
+    "read_fields",
     "read_json_object",
     "reject_unknown",
     "require",
@@ -182,21 +184,22 @@ def dimension_to_mapping(dim: Dimension) -> dict[str, list[int]]:
     return {key: [n // g, dim._den // g] for key, n, g in axes}
 
 
+def _axis_exponent(raw: object, what: str) -> Fraction:
+    if (
+        not isinstance(raw, (list, tuple))
+        or len(raw) != 2
+        or not all(isinstance(n, int) and not isinstance(n, bool) for n in raw)
+        or raw[1] == 0
+    ):
+        raise InputError(f"{what} must be [numerator, nonzero denominator]")
+    return Fraction(raw[0], raw[1])
+
+
+_DIMS_FIELDS = {key: (_axis_exponent, 0) for key in _JSON_AXES}
+
+
 def dimension_from_mapping(data: object) -> Dimension:
-    if not isinstance(data, Mapping):
-        raise InputError("dims must be an object")
-    reject_unknown(data, _JSON_AXES, "dimension")
-    exps: dict[str, Fraction] = {}
-    for key, raw in data.items():
-        if (
-            not isinstance(raw, (list, tuple))
-            or len(raw) != 2
-            or not all(isinstance(n, int) and not isinstance(n, bool) for n in raw)
-            or raw[1] == 0
-        ):
-            raise InputError(f"dimension axis {key!r} must be [numerator, nonzero denominator]")
-        exps[_JSON_AXES[key]] = Fraction(raw[0], raw[1])
-    return Dimension(**exps)
+    return Dimension(*read_fields(data, "dims", _DIMS_FIELDS).values())
 
 
 @dataclass(frozen=True)
@@ -410,6 +413,35 @@ def reject_unknown(raw: Mapping[str, object], allowed: Iterable[str], what: str)
         raise InputError(f"unknown {what} key: {unknown[0]!r}")
 
 
+REQUIRED = object()  # the default of a key read_fields refuses to miss
+
+Reader = Callable[[object, str], object]
+
+
+def read_fields(
+    raw: object, what: str, spec: Mapping[str, tuple[Reader, object]]
+) -> dict[str, object]:
+    """The JSON object ``raw`` as {key: value}, in ``spec`` order.
+
+    ``spec`` maps each key to ``(reader, default)``.  A present key goes
+    to ``reader(value, "<what> key '<key>'")``, so a null is the reader's
+    to refuse, never read as absent.  An absent key takes ``default``,
+    or is refused when that is ``REQUIRED``.
+    """
+    if not isinstance(raw, Mapping):
+        raise InputError(f"{what} must be an object")
+    reject_unknown(raw, spec, what)
+    fields = {}
+    for key, (reader, default) in spec.items():
+        if key in raw:
+            fields[key] = reader(raw[key], f"{what} key {key!r}")
+        elif default is REQUIRED:
+            raise InputError(f"{what} missing key: {key!r}")
+        else:
+            fields[key] = default
+    return fields
+
+
 def number(value: object, what: str) -> float:
     """A JSON number as a float; refuses nan, ±inf and integers beyond double range."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -446,17 +478,15 @@ def read_json_object(path: str, what: str) -> dict[str, object]:
 
 @dataclass(frozen=True)
 class LogInterval:
-    """Order-of-magnitude band 10^(center ± halfwidth), always positive.
+    """Order-of-magnitude band 10^(center ± halfwidth) of a growth factor.
 
-    A power scales the center by the exponent and the halfwidth by its
-    absolute value.  A growth band read from the command line or a
-    scenario file is built here, so a bad center or halfwidth is
-    malformed input.
+    A growth band read from the command line or a scenario file is built
+    here, so a bad center or halfwidth is malformed input.
     """
 
     center: float
     halfwidth: float
-    dimension: Dimension = DIMENSIONLESS
+    dimension = DIMENSIONLESS  # a growth factor is a pure number; callers may still ask
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.center):
@@ -465,25 +495,9 @@ class LogInterval:
             raise InputError(
                 f"halfwidth must be finite and >= 0, got {self.halfwidth!r}"
             )
-        if not isinstance(self.dimension, Dimension):
-            raise TypeError("dimension must be a Dimension")
-
-    def __pow__(self, p: Rational) -> "LogInterval":
-        return interval_pow(self, p)
 
     def __str__(self) -> str:
-        body = f"10^{{{self.center:g}±{self.halfwidth:g}}}"
-        if self.dimension.is_dimensionless:
-            return body
-        return f"{body} {self.dimension.compact()}"
-
-
-def interval_pow(a: LogInterval, p: Rational) -> LogInterval:
-    p = _exponent(p)
-    center, halfwidth = a.center * float(p), a.halfwidth * abs(float(p))
-    if math.isinf(center) or math.isinf(halfwidth):  # a result out of range, not bad input
-        raise OverflowError(f"{a} to the power {p} does not fit in a float")
-    return LogInterval(center, halfwidth, a.dimension**p)
+        return f"10^{{{self.center:g}±{self.halfwidth:g}}}"
 
 
 def quantity_to_jsonable(q: Quantity) -> dict[str, object]:

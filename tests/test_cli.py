@@ -364,6 +364,13 @@ _MALFORMED = {
     "growth-flag-negative-halfwidth": (["epoch", "inflation", "--growth", "10:-1"], None),
     "growth-flag-underflows": (["epoch", "inflation", "--growth", "1e-400:1"], None),
     "growth-flag-nan": (["epoch", "inflation", "--growth", "nan:1"], None),
+    # a present null goes to the key's reader like any other value, never counts as absent
+    "hubble-null": (["report"], b'{"hubble_per_s": null}'),
+    "species-null": (["report"], b'{"species": null}'),
+    "growth-null": (["report"], b'{"inflation_growth_log10": null}'),
+    "fleet-null": (["report"], b'{"fleet": null}'),
+    "growth-no-halfwidth": (["report"], b'{"inflation_growth_log10": {"center": 10}}'),
+    "profile-no-value": (["constants"], b'{"name": "paper", "constants": {"x": {"dims": {}}}}'),
 }
 
 
@@ -376,6 +383,59 @@ def test_malformed_values_exit_two(run_cli, tmp_path, argv, content):
     code, out, err = run_cli(argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# a valid profile whose hbar*c/e2 is 10^608.47, far beyond double range
+_FAR_CONSTANTS = (
+    b'{"name": "paper", "constants": {'
+    b'"hbar": {"value": 1e300, "dims": {"L": [2, 1], "M": [1, 1], "T": [-1, 1]}}, '
+    b'"e2": {"value": 1e-300, "dims": {"L": [3, 1], "M": [1, 1], "T": [-2, 1]}}}}'
+)
+
+
+@pytest.mark.parametrize(
+    ("argv", "content"),
+    [*_MALFORMED.values(), (["constants"], _FAR_CONSTANTS)],
+    ids=[*_MALFORMED, "constants-beyond-double"],
+)
+def test_text_and_json_exit_alike(run_cli, tmp_path, argv, content):
+    if content is not None:
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        argv = [*argv, str(path)]
+    assert run_cli(argv)[0] == run_cli([*argv, "--json"])[0]
+
+
+def test_constants_beyond_double_print_as_powers(run_cli, tmp_path):
+    path = tmp_path / "profile.json"
+    path.write_bytes(_FAR_CONSTANTS)
+    code, out, err = run_cli(["constants", str(path)])
+    assert (code, err) == (0, "")
+    assert "  hbar*c/e2      10^608.47" in out
+
+
+_HUGE_SPECIES = {
+    "one-1e307-pair": [
+        {"name": "x", "polarizations": 10**307, "particle_antiparticle": 2, "statistics": "boson"}
+    ],
+    "two-1e308": [
+        {"name": n, "polarizations": 10**308, "particle_antiparticle": 1, "statistics": "boson"}
+        for n in ("x", "y")
+    ],
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("species", _HUGE_SPECIES.values(), ids=list(_HUGE_SPECIES))
+def test_species_weight_beyond_double_range(run_cli, tmp_path, species, flags):
+    """The weight is exact: its log10 comes from integers, never from an overflowing float."""
+    code, out, err = run_cli(["report", write_scenario(tmp_path, {"species": species}), *flags])
+    assert (code, err) == (0, "")
+    if flags:
+        # T scales as weight^(-1/4) from the photon bath's weight of 2
+        weight = sum(s["polarizations"] * s["particle_antiparticle"] for s in species)
+        expected = math.log10(T_BLACKBODY_PAPER) + (math.log10(2) - math.log10(weight)) / 4
+        assert json.loads(out)["blackbody_T"]["log10"] == pytest.approx(expected, abs=1e-12)
 
 
 # every numeric flag of every command, with "X" where its value goes

@@ -19,12 +19,12 @@ from cosmocap.dimq import (
     LogInterval,
     ONE,
     Quantity,
+    REQUIRED,
     add,
     approx_eq,
     dimension_from_mapping,
     dimension_to_mapping,
     div,
-    interval_pow,
     make,
     mul,
     number,
@@ -32,6 +32,7 @@ from cosmocap.dimq import (
     pow_rational,
     quantity_from_jsonable,
     quantity_to_jsonable,
+    read_fields,
     scalar,
     sub,
     zero,
@@ -210,6 +211,22 @@ def test_dimension_mapping_rejects_junk():
         dimension_from_mapping({"L": [1.0, 1]})
     with pytest.raises(InputError, match="nonzero denominator"):
         dimension_from_mapping({"L": [1, 0]})
+
+
+def test_read_fields_applies_one_table():
+    def reader(value, what):
+        return (value, what)
+
+    spec = {"a": (reader, REQUIRED), "b": (reader, "default")}
+    assert read_fields({"a": 1}, "thing", spec) == {"a": (1, "thing key 'a'"), "b": "default"}
+    # a present null goes to its reader; it is not read as absent
+    assert read_fields({"a": 1, "b": None}, "thing", spec)["b"] == (None, "thing key 'b'")
+    with pytest.raises(InputError, match="^thing must be an object$"):
+        read_fields([1], "thing", spec)
+    with pytest.raises(InputError, match="^unknown thing key: 'c'$"):
+        read_fields({"a": 1, "c": 2}, "thing", spec)
+    with pytest.raises(InputError, match="^thing missing key: 'a'$"):
+        read_fields({"b": 2}, "thing", spec)
 
 
 # ---------------------------------------------------------------- mul/div/pow
@@ -393,17 +410,6 @@ def test_approx_eq_symmetric(la, lb, tol):
 # ---------------------------------------------------------------- intervals
 
 
-def test_interval_pow_squares():
-    sq = interval_pow(LogInterval(10.0, 6.0), 2)
-    assert (sq.center, sq.halfwidth) == (20.0, 12.0)
-    assert str(sq) == "10^{20±12}"
-
-
-def test_interval_pow_negative_exponent_keeps_width_positive():
-    inv = interval_pow(LogInterval(10.0, 6.0), -1)
-    assert (inv.center, inv.halfwidth) == (-10.0, 6.0)
-
-
 def test_interval_validation():
     with pytest.raises(ValueError):
         LogInterval(0.0, -1.0)
@@ -411,20 +417,18 @@ def test_interval_validation():
         LogInterval(float("inf"), 0.0)
 
 
-def test_interval_rejects_malformed_bands_and_overflowing_powers():
+def test_interval_rejects_malformed_bands():
     for center, halfwidth in ((math.nan, 1.0), (10.0, -1.0), (10.0, math.inf)):
         with pytest.raises(InputError):
             LogInterval(center, halfwidth)
-    with pytest.raises(OverflowError):
-        interval_pow(LogInterval(1e308, 1.0), 2)
-    with pytest.raises(OverflowError):
-        interval_pow(LogInterval(0.0, 1e308), -2)
 
 
-@given(logs, st.floats(min_value=0.0, max_value=20.0), st.integers(min_value=1, max_value=5))
-def test_interval_pow_scales_width(center, halfwidth, n):
-    p = interval_pow(LogInterval(center, halfwidth), n)
-    assert p.halfwidth == pytest.approx(halfwidth * n, abs=1e-9)
+def test_interval_is_a_dimensionless_band():
+    band = LogInterval(10.0, 6.0)
+    assert band.dimension == DIMENSIONLESS
+    assert str(band) == "10^{10±6}"
+    with pytest.raises(TypeError):
+        LogInterval(10.0, 6.0, DIMENSIONLESS)
 
 
 # ---------------------------------------------------------------- json codec
