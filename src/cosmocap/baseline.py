@@ -8,13 +8,12 @@ short of what the universe's matter could do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dimq import (
     DIMENSIONLESS,
     RATE,
     TIME,
     Quantity,
+    Record,
     make,
     require,
     scalar,
@@ -23,17 +22,12 @@ from .dimq import (
 __all__ = ["FleetSpec", "default_fleet", "fleet_bits", "fleet_ops", "historical_ops"]
 
 
-@dataclass(frozen=True)
-class FleetSpec:
+class FleetSpec(Record):
     """A population of computers described by count, speed and memory."""
 
-    n_computers: Quantity
-    clock_rate: Quantity
-    ops_per_cycle: Quantity
-    duration: Quantity
-    bits_per_computer: Quantity
+    __slots__ = ("n_computers", "clock_rate", "ops_per_cycle", "duration", "bits_per_computer")
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         # an empty fleet is legal and computes nothing
         require(self.n_computers, DIMENSIONLESS, "n_computers", allow_zero=True)
         require(self.clock_rate, RATE, "clock_rate")

@@ -22,8 +22,6 @@ nature forbids is a finding, not an exception.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 from .constants import PAPER, ConstantsProfile, get, planck_length
 from .dimq import (
@@ -34,6 +32,7 @@ from .dimq import (
     LENGTH,
     ONE,
     Quantity,
+    Record,
     require,
     scalar,
 )
@@ -89,10 +88,9 @@ def max_io_rate(
     return c * entropy / (k_b * radius)
 
 
-@dataclass(frozen=True)
-class BekensteinResult:
-    ratio: Quantity
-    below_bound: bool  # True: input more entropic than nature allows
+class BekensteinResult(Record):
+    # below_bound: True when the input is more entropic than nature allows
+    __slots__ = ("ratio", "below_bound")
 
 
 def bekenstein_ratio(
@@ -122,19 +120,16 @@ def holographic_bits(area: Quantity, profile: ConstantsProfile = PAPER) -> Quant
     return area / planck_length(profile) ** 2
 
 
-@dataclass(frozen=True)
-class SystemSpec:
+class SystemSpec(Record):
     """One system's budget: energy, entropy, radius, optional area.
 
     Area defaults to R^2 when not given (bare square, no 4 pi).
     """
 
-    energy: Quantity
-    entropy: Quantity
-    radius: Quantity
-    area: Optional[Quantity] = None
+    __slots__ = ("energy", "entropy", "radius", "area")
+    _defaults = {"area": None}
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         require(self.energy, ENERGY, "energy")
         require(self.entropy, ENTROPY, "entropy")
         require(self.radius, LENGTH, "radius")
@@ -145,14 +140,9 @@ class SystemSpec:
         return self.area if self.area is not None else self.radius**2
 
 
-@dataclass(frozen=True)
-class SystemLimits:
-    ops_per_sec: Quantity
-    flip_time: Quantity
-    bits: Quantity
-    io_rate: Quantity
-    bekenstein: BekensteinResult
-    holographic_bits: Quantity
+class SystemLimits(Record):
+    # bekenstein is a BekensteinResult; the rest are Quantity
+    __slots__ = ("ops_per_sec", "flip_time", "bits", "io_rate", "bekenstein", "holographic_bits")
 
 
 def system_limits(spec: SystemSpec, profile: ConstantsProfile = PAPER) -> SystemLimits:

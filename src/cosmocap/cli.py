@@ -15,10 +15,13 @@ So a value shown both ways is written once.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
 import sys
-from typing import Callable, NamedTuple, Optional
+from collections import namedtuple
+from collections.abc import Callable
 
 from . import baseline, cosmo
 from .constants import (
@@ -58,6 +61,7 @@ from .largenum import identities
 __all__ = ["main"]
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
@@ -68,33 +72,20 @@ _RESIDUAL_TOL = 1e-9
 # ---------------------------------------------------------------- rendering
 
 
-class Cell(NamedTuple):
-    """One output value.
+# One output value.  ``key`` is ``"name"`` or ``"section.name"`` in the
+# JSON document (the name may itself hold dots); None shows the value in
+# text only.  ``style`` turns the value into its text; None formats it as is.
+Cell = namedtuple("Cell", ("key", "value", "style"), defaults=(None,))
 
-    ``key`` is ``"name"`` or ``"section.name"`` in the JSON document
-    (the name may itself hold dots); None shows the value in text only.
-    ``style`` turns the value into its text; None formats it as is.
-    """
-
-    key: Optional[str]
-    value: object
-    style: Optional[Callable[[object], str]] = None
-
-
-class Row(NamedTuple):
-    """A ``str.format`` template with one ``{}`` per cell; None: JSON only.
-
-    Templates are literals, so user strings only ever arrive as cells.
-    """
-
-    text: Optional[str]
-    cells: tuple[Cell, ...]
-
+# ``text`` is a ``str.format`` template with one ``{}`` per cell of the
+# tuple ``cells``; None: JSON only.  Templates are literals, so user
+# strings only ever arrive as cells.
+Row = namedtuple("Row", ("text", "cells"))
 
 Table = tuple[str, list[Row]]
 
 
-def _row(text: Optional[str], *cells: tuple, shown: bool = True) -> Row:
+def _row(text: str | None, *cells: tuple, shown: bool = True) -> Row:
     """A row of cells given as (key, value) or (key, value, style) tuples.
 
     With ``shown`` false the row is JSON only.
@@ -241,7 +232,7 @@ _SCENARIO_FIELDS = {
 
 
 def _load_scenario(
-    path: Optional[str], profile_flag: Optional[str]
+    path: str | None, profile_flag: str | None
 ) -> tuple[cosmo.Scenario, baseline.FleetSpec]:
     """The scenario and fleet in JSON file ``path``; every default when None."""
     try:
@@ -487,6 +478,7 @@ class _FloatFlag(argparse.Action):
         setattr(namespace, self.dest, parse_float(values, option_string))
 
 
+@functools.cache  # parsing leaves no state on the parser, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cosmocap",
@@ -557,7 +549,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # here, not at exit, so that a closed pipe is caught below
+    except BrokenPipeError:
+        # the reader has gone (as in `| head -1`); send what is still
+        # buffered, and the exit-time flush, to os.devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
+
+
+def _run(argv: list[str] | None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         header, rows = args.handler(args)

@@ -14,9 +14,8 @@ would let them drift out of sync with the profile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from .dimq import (
     Dimension,
@@ -29,6 +28,7 @@ from .dimq import (
     REQUIRED,
     InputError,
     Quantity,
+    Record,
     dimension_from_mapping,
     make,
     number,
@@ -68,12 +68,17 @@ REQUIRED_DIMS: dict[str, Dimension] = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class ConstantsProfile:
-    name: str
-    constants: Mapping[str, Quantity]
+class ConstantsProfile(Record):
+    """A named table of constants; constants maps each id to a Quantity.
 
-    def __post_init__(self) -> None:
+    Two profiles are equal only when they are the same object.
+    """
+
+    __slots__ = ("name", "constants")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def _check(self) -> None:
         missing = sorted(set(REQUIRED_DIMS) - set(self.constants))
         if missing:
             raise ValueError(f"profile {self.name!r} missing constants: {missing}")

@@ -25,9 +25,7 @@ written ρc².
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .bounds import max_bits
 from .constants import PAPER, ConstantsProfile, get, planck_length, planck_time
@@ -44,6 +42,7 @@ from .dimq import (
     InputError,
     LogInterval,
     Quantity,
+    Record,
     make,
     number,
     require,
@@ -93,16 +92,15 @@ PAPER_RHO_KG_M3 = 1.0e-27
 PAPER_AGE_YEARS = 1.0e10
 
 
-@dataclass(frozen=True)
-class Species:
-    """One relativistic species contributing to the radiation bath."""
+class Species(Record):
+    """One relativistic species contributing to the radiation bath.
 
-    name: str
-    polarizations: int
-    particle_antiparticle: int
-    statistics: str  # "boson" or "fermion"
+    ``statistics`` is "boson" or "fermion".
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ("name", "polarizations", "particle_antiparticle", "statistics")
+
+    def _check(self) -> None:
         # every rule on a species' fields, for species built in code or read from a file
         if not isinstance(self.name, str):
             raise InputError("species name must be a string")
@@ -126,11 +124,10 @@ class Species:
         return w
 
 
-@dataclass(frozen=True)
-class SpeciesTable:
-    entries: tuple[Species, ...]
+class SpeciesTable(Record):
+    __slots__ = ("entries",)  # tuple[Species, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not all(isinstance(s, Species) for s in self.entries):
             raise TypeError("entries must be Species")
 
@@ -302,10 +299,9 @@ def ops_radiation(
     return scalar(4.0 / math.pi) * e1 * tail / hbar
 
 
-@dataclass(frozen=True)
-class RadiationBits:
-    bits: Quantity
-    above_gut_threshold: bool  # k_B T beyond 2e16 GeV: species table untrustworthy
+class RadiationBits(Record):
+    # above_gut_threshold: k_B T beyond 2e16 GeV, so the species table is untrustworthy
+    __slots__ = ("bits", "above_gut_threshold")
 
 
 def bits_radiation(
@@ -331,11 +327,8 @@ def bits_radiation(
     return RadiationBits(bits, above)
 
 
-@dataclass(frozen=True)
-class InflationBounds:
-    ops_per_sec: Quantity
-    ops_per_hubble_time: Quantity
-    bits_horizon: Quantity
+class InflationBounds(Record):
+    __slots__ = ("ops_per_sec", "ops_per_hubble_time", "bits_horizon")
 
 
 def inflation_bounds(hubble: Quantity, profile: ConstantsProfile = PAPER) -> InflationBounds:
@@ -361,21 +354,16 @@ def inflation_total_ops(growth: LogInterval) -> LogInterval:
     return LogInterval(center, halfwidth)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """Inputs for a capacity report.  H defaults to 1/t, the transition
     to the radiation epoch defaults to 7e5 years (report metadata only)."""
 
-    rho: Quantity
-    age: Quantity
-    hubble: Optional[Quantity] = None
-    species: SpeciesTable = PHOTONS_ONLY
-    include_gravity: bool = False
-    profile: ConstantsProfile = PAPER
-    matter_radiation_transition: Optional[Quantity] = None
-    inflation_growth: Optional[LogInterval] = None
+    __slots__ = ("rho", "age", "hubble", "species", "include_gravity", "profile",
+                 "matter_radiation_transition", "inflation_growth")
+    _defaults = {"hubble": None, "species": PHOTONS_ONLY, "include_gravity": False,
+                 "profile": PAPER, "matter_radiation_transition": None, "inflation_growth": None}
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         require(self.rho, MASS_DENSITY, "rho")
         require(self.age, TIME, "age")
         if self.hubble is None:
@@ -395,19 +383,13 @@ def paper_scenario(profile: ConstantsProfile = PAPER) -> Scenario:
     return Scenario(rho=make(PAPER_RHO_KG_M3, MASS_DENSITY), age=age, profile=profile)
 
 
-@dataclass(frozen=True)
-class CapacityReport:
-    ops_matter: Quantity
-    ops_critical: Quantity
-    ops_with_gravity: Quantity
-    bits_matter: Quantity
-    bits_holographic: Quantity
-    blackbody_T: Quantity
-    entropy_total: Quantity
-    matter_radiation_transition: Quantity
-    inflation: InflationBounds
-    inflation_total_ops: Optional[LogInterval]
-    large_numbers: "LargeNumberReport"  # noqa: F821 - defined in largenum
+class CapacityReport(Record):
+    # inflation is an InflationBounds, inflation_total_ops a LogInterval or
+    # None, large_numbers a largenum.LargeNumberReport; the rest are Quantity
+    __slots__ = ("ops_matter", "ops_critical", "ops_with_gravity", "bits_matter",
+                 "bits_holographic", "blackbody_T", "entropy_total",
+                 "matter_radiation_transition", "inflation", "inflation_total_ops",
+                 "large_numbers")
 
 
 def full_report(scenario: Scenario) -> CapacityReport:

@@ -21,9 +21,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Union
 
 __all__ = [
     "DEFAULT_TOLERANCE_DECADES",
@@ -34,6 +33,7 @@ __all__ = [
     "Quantity",
     "REQUIRED",
     "Reader",
+    "Record",
     "add",
     "approx_eq",
     "div",
@@ -55,10 +55,8 @@ DEFAULT_TOLERANCE_DECADES = 1.5
 
 _LN10 = math.log(10.0)
 
-Rational = Union[int, Fraction]
 
-
-def _exponent(p: Rational, what: str = "exponent") -> Rational:
+def _exponent(p: int | Fraction, what: str = "exponent") -> int | Fraction:
     """p itself once known to be an int or Fraction; both have numerator and denominator."""
     if isinstance(p, bool) or not isinstance(p, (int, Fraction)):
         raise TypeError(f"{what} must be an int or Fraction, not {type(p).__name__}")
@@ -91,8 +89,9 @@ class Dimension:
 
     __slots__ = ("_num", "_den")  # numerators over one denominator, in lowest terms
 
-    def __new__(cls, length: Rational = 0, mass: Rational = 0, time: Rational = 0,
-                temperature: Rational = 0, charge2: Rational = 0) -> "Dimension":
+    def __new__(cls, length: int | Fraction = 0, mass: int | Fraction = 0,
+                time: int | Fraction = 0, temperature: int | Fraction = 0,
+                charge2: int | Fraction = 0) -> "Dimension":
         exps = (length, mass, time, temperature, charge2)
         if not {type(e) for e in exps} <= {int, Fraction}:  # isinstance on an ABC is slow
             for name, exp in zip(_JSON_AXES.values(), exps):
@@ -140,7 +139,7 @@ class Dimension:
     def __truediv__(self, other: "Dimension") -> "Dimension":
         return self._combine(other, -1)
 
-    def __pow__(self, p: Rational) -> "Dimension":
+    def __pow__(self, p: int | Fraction) -> "Dimension":
         p = _exponent(p)
         return _reduced(tuple(map(p.numerator.__mul__, self._num)), self._den * p.denominator)
 
@@ -202,8 +201,74 @@ def dimension_from_mapping(data: object) -> Dimension:
     return Dimension(*read_fields(data, "dims", _DIMS_FIELDS).values())
 
 
-@dataclass(frozen=True)
-class Quantity:
+class Record:
+    """Base of the package's frozen records.
+
+    A subclass names its fields in ``__slots__``, in order, and gives the
+    defaults of its optional fields in ``_defaults``.  Fields are taken by
+    position or by name, then ``_check`` validates them; it may fill a
+    derived default with ``object.__setattr__``, the only way to set a
+    field.  Records compare and hash by their field values, and pickle
+    and copy through their constructor, so a loaded record is checked
+    again.
+    """
+
+    __slots__ = ()
+    _defaults: dict[str, object] = {}
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = type(self).__slots__
+        if kwargs or len(args) != len(names):
+            args = self._arguments(args, kwargs)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self._check()
+
+    @classmethod
+    def _arguments(cls, args: tuple, kwargs: dict[str, object]) -> tuple:
+        """Every field's value, in order, from a call that left some out or named some."""
+        names = cls.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} arguments, got {len(args)}")
+        given = dict(zip(names, args))
+        for name in kwargs:
+            if name in given or name not in names:
+                raise TypeError(f"{cls.__name__}() got an unexpected or repeated argument {name!r}")
+        values = {**cls._defaults, **given, **kwargs}
+        for name in names:
+            if name not in values:
+                raise TypeError(f"{cls.__name__}() missing required argument: {name!r}")
+        return tuple([values[name] for name in names])
+
+    def _check(self) -> None:
+        """Validate the fields; a subclass with rules overrides this."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Quantity(Record):
     """A signed magnitude kept as log10, tagged with a dimension.
 
     ``sign`` is -1, 0 or +1.  For sign 0 the stored log10 is meaningless
@@ -212,18 +277,26 @@ class Quantity:
     you get when two equal magnitudes of opposite sign cancel.
     """
 
-    sign: int
-    log10: float
-    dimension: Dimension = DIMENSIONLESS
+    __slots__ = ("sign", "log10", "dimension")
 
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {self.sign!r}")
-        if self.sign == 0:
-            object.__setattr__(self, "log10", 0.0)
-        elif not math.isfinite(self.log10):
-            raise ValueError(f"log10 must be finite, got {self.log10!r}")
-        if not isinstance(self.dimension, Dimension):
+    def __new__(cls, sign: int, log10: float, dimension: Dimension = DIMENSIONLESS) -> "Quantity":
+        # every Quantity is built here; arithmetic results, whose sign and
+        # dimension are right by construction, come here without __init__
+        if sign == 0:
+            log10 = 0.0
+        elif not math.isfinite(log10):
+            raise ValueError(f"log10 must be finite, got {log10!r}")
+        q = object.__new__(cls)
+        _set_sign(q, sign)
+        _set_log10(q, log10)
+        _set_dimension(q, dimension)
+        return q
+
+    def __init__(self, sign: int, log10: float, dimension: Dimension = DIMENSIONLESS) -> None:
+        # the checks a caller's arguments need and an arithmetic result does not
+        if sign not in (-1, 0, 1):
+            raise ValueError(f"sign must be -1, 0 or +1, got {sign!r}")
+        if not isinstance(dimension, Dimension):
             raise TypeError("dimension must be a Dimension")
 
     # -- constructors ------------------------------------------------
@@ -276,11 +349,11 @@ class Quantity:
             return NotImplemented
         return sub(self, other)
 
-    def __pow__(self, p: Rational) -> "Quantity":
+    def __pow__(self, p: int | Fraction) -> "Quantity":
         return pow_rational(self, p)
 
     def __neg__(self) -> "Quantity":
-        return Quantity(-self.sign, self.log10, self.dimension)
+        return _new(Quantity, -self.sign, self.log10, self.dimension)
 
     def __str__(self) -> str:
         # big numbers read best as powers of ten; small ones as exact
@@ -295,6 +368,13 @@ class Quantity:
         if self.dimension.is_dimensionless:
             return body
         return f"{body} {self.dimension.compact()}"
+
+
+_new = Quantity.__new__  # the unchecked constructor: _new(Quantity, sign, log10, dimension)
+# the slots' own setters, which __setattr__ does not reach: faster than object.__setattr__
+_set_sign, _set_log10, _set_dimension = (
+    slot.__set__ for slot in (Quantity.sign, Quantity.log10, Quantity.dimension)
+)
 
 
 def zero(dimension: Dimension = DIMENSIONLESS) -> Quantity:
@@ -315,16 +395,16 @@ ONE = Quantity(1, 0.0, DIMENSIONLESS)
 
 def mul(a: Quantity, b: Quantity) -> Quantity:
     # an exact-zero operand needs no branch here or in div: sign 0 zeroes the log10
-    return Quantity(a.sign * b.sign, a.log10 + b.log10, a.dimension * b.dimension)
+    return _new(Quantity, a.sign * b.sign, a.log10 + b.log10, a.dimension * b.dimension)
 
 
 def div(a: Quantity, b: Quantity) -> Quantity:
     if b.sign == 0:
         raise ZeroDivisionError("division by an exact-zero quantity")
-    return Quantity(a.sign * b.sign, a.log10 - b.log10, a.dimension / b.dimension)
+    return _new(Quantity, a.sign * b.sign, a.log10 - b.log10, a.dimension / b.dimension)
 
 
-def pow_rational(a: Quantity, p: Rational) -> Quantity:
+def pow_rational(a: Quantity, p: int | Fraction) -> Quantity:
     p = _exponent(p)
     dim = a.dimension**p
     if a.sign == 0:
@@ -339,7 +419,7 @@ def pow_rational(a: Quantity, p: Rational) -> Quantity:
         sign = -1 if p.numerator % 2 else 1
     else:
         sign = 1
-    return Quantity(sign, a.log10 * float(p), dim)
+    return _new(Quantity, sign, a.log10 * float(p), dim)
 
 
 def add(a: Quantity, b: Quantity) -> Quantity:
@@ -366,7 +446,7 @@ def add(a: Quantity, b: Quantity) -> Quantity:
     ratio = (a.sign * b.sign) * 10.0 ** (b.log10 - a.log10)
     if ratio == -1.0:
         return zero(a.dimension)
-    return Quantity(a.sign, a.log10 + math.log1p(ratio) / _LN10, a.dimension)
+    return _new(Quantity, a.sign, a.log10 + math.log1p(ratio) / _LN10, a.dimension)
 
 
 def sub(a: Quantity, b: Quantity) -> Quantity:
@@ -476,19 +556,17 @@ def read_json_object(path: str, what: str) -> dict[str, object]:
     return doc
 
 
-@dataclass(frozen=True)
-class LogInterval:
+class LogInterval(Record):
     """Order-of-magnitude band 10^(center ± halfwidth) of a growth factor.
 
     A growth band read from the command line or a scenario file is built
     here, so a bad center or halfwidth is malformed input.
     """
 
-    center: float
-    halfwidth: float
+    __slots__ = ("center", "halfwidth")
     dimension = DIMENSIONLESS  # a growth factor is a pure number; callers may still ask
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not math.isfinite(self.center):
             raise InputError(f"center must be finite, got {self.center!r}")
         if not (math.isfinite(self.halfwidth) and self.halfwidth >= 0):

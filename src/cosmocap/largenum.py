@@ -8,21 +8,22 @@ to the universe's op count.
 Two combinations are exact algebra, not coincidence:
 
     βγ²  = (ρc⁵t⁴/ħ)(ħc/e²)(m_e/m_p)   for every ρ and t
-    αβ²  = (t/t_P)²(ħc/e²)(m_e/m_p)    when ρ = 1/(Gt²)
+    αβ²  = (t/t_P)²(ħc/e²)(m_e/m_p)    for every t; no ρ enters
 
-and αβ ≈ γ² is the classic statement that the coincidences are one
-coincidence, exact precisely at critical density.  ``identities``
-reports each as a residual that equals 1 when the identity holds.
+Their right-hand sides agree at critical density ρ = 1/(Gt²), where the
+op count ρc⁵t⁴/ħ is (t/t_P)².  αβ ≈ γ² is the classic statement that
+the coincidences are one coincidence, exact precisely at critical
+density.  ``identities`` reports each as a residual that equals 1 when
+the identity holds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .constants import PAPER, ConstantsProfile, fine_structure_inverse, get, mass_ratio
 from .cosmo import ops_critical, ops_matter
-from .dimq import MASS_DENSITY, TIME, Quantity, require
+from .dimq import MASS_DENSITY, TIME, Quantity, Record, require
 
 __all__ = ["LargeNumberReport", "alpha", "beta", "gamma", "identities"]
 
@@ -50,14 +51,12 @@ def gamma(rho: Quantity, t: Quantity, profile: ConstantsProfile = PAPER) -> Quan
     return (rho * c**3 * t**3 / m_p) ** _HALF
 
 
-@dataclass(frozen=True)
-class LargeNumberReport:
-    alpha: Quantity
-    beta: Quantity
-    gamma: Quantity
-    r1: Quantity  # αβ/γ²: 1 exactly at critical density
-    r2: Quantity  # βγ² over ops(ρ,t)·(ħc/e²)(m_e/m_p): 1 for every input
-    r3: Quantity  # αβ² over ops_critical(t)·(ħc/e²)(m_e/m_p): 1 at critical density
+class LargeNumberReport(Record):
+    # every field is a Quantity:
+    #   r1 = αβ/γ²: 1 exactly at critical density
+    #   r2 = βγ² over ops(ρ,t)·(ħc/e²)(m_e/m_p): 1 for every input
+    #   r3 = αβ² over ops_critical(t)·(ħc/e²)(m_e/m_p): 1 for every input
+    __slots__ = ("alpha", "beta", "gamma", "r1", "r2", "r3")
 
 
 def identities(

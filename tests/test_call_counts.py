@@ -34,7 +34,9 @@ def test_full_report_builds_few_fractions():
 
 # Quantity constructions in one full_report of a prebuilt paper scenario:
 # 95 when each value is computed once, so that bits_matter reuses the
-# horizon entropy and bits_holographic is the ops_critical value.
+# horizon entropy and bits_holographic is the ops_critical value.  Every
+# construction runs Quantity.__new__: a public Quantity(...) call and an
+# arithmetic result alike, the latter without __init__.
 MAX_QUANTITIES_PER_REPORT = 100
 
 
@@ -46,6 +48,6 @@ def test_full_report_builds_each_quantity_once():
         full_report(scenario)
     finally:
         profiler.disable()
-    post_init = Quantity.__post_init__.__code__
-    quantities = sum(e.callcount for e in profiler.getstats() if e.code is post_init)
+    new = Quantity.__new__.__code__
+    quantities = sum(e.callcount for e in profiler.getstats() if e.code is new)
     assert 0 < quantities <= MAX_QUANTITIES_PER_REPORT

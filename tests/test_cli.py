@@ -2,6 +2,9 @@ import argparse
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -846,3 +849,27 @@ def test_tolerance_must_be_positive(run_cli, value):
     code, out, err = run_cli(["report", "--default-paper", "--tolerance-decades", value])
     assert code == 2 and out == ""
     assert "--tolerance-decades: must be > 0" in err
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["report", "--default-paper"], ["--help"]], ids=["report", "help"])
+def test_closed_stdout_exits_quietly(argv, unbuffered):
+    """A reader that has gone (``| head -1``) ends the run with 1, no traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parent.parent)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cosmocap", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert b"Traceback" not in proc.stderr and b"Exception ignored" not in proc.stderr
+    assert proc.stderr == b""
+    # argparse itself drops a help text it cannot write, unbuffered, and exits 0
+    quiet_help = argv == ["--help"] and unbuffered
+    assert proc.returncode == (cli.EXIT_OK if quiet_help else cli.EXIT_BROKEN_PIPE)

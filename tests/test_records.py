@@ -1,0 +1,198 @@
+"""The package's records: frozen, slotted, and importable without dataclasses.
+
+Every record type and ``Quantity`` share one base, ``dimq.Record``.
+These tests pin what that base promises (immutability, positional and
+keyword construction, defaults, value equality, pickling), and that
+importing the CLI loads none of the modules the base replaced.
+"""
+
+import copy
+import json
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from cosmocap import (
+    DIMENSIONLESS,
+    ENERGY,
+    ENTROPY,
+    LENGTH,
+    PAPER,
+    PHOTONS_ONLY,
+    BekensteinResult,
+    CapacityReport,
+    ConstantsProfile,
+    Dimension,
+    FleetSpec,
+    InflationBounds,
+    LargeNumberReport,
+    LogInterval,
+    Quantity,
+    RadiationBits,
+    Scenario,
+    Species,
+    SpeciesTable,
+    SystemLimits,
+    SystemSpec,
+    default_fleet,
+    full_report,
+    make,
+    system_limits,
+)
+from cosmocap.cosmo import paper_scenario
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _samples():
+    scenario = Scenario(
+        rho=paper_scenario().rho,
+        age=paper_scenario().age,
+        species=SpeciesTable((Species("photon", 2, 1, "boson"), Species("nu", 2, 2, "fermion"))),
+        inflation_growth=LogInterval(10.0, 6.0),
+    )
+    report = full_report(scenario)
+    spec = SystemSpec(make(1.0, ENERGY), make(1e-20, ENTROPY), make(0.1, LENGTH))
+    limits = system_limits(spec)
+    return [
+        Quantity(-1, 3.5, ENERGY / Dimension(temperature=Fraction(1, 2))),
+        scenario.inflation_growth,
+        scenario.species.entries[1],
+        scenario.species,
+        scenario,
+        RadiationBits(report.bits_matter, True),
+        report.inflation,
+        report,
+        limits.bekenstein,
+        spec,
+        limits,
+        default_fleet(),
+        report.large_numbers,
+        ConstantsProfile("copy", dict(PAPER.constants)),
+    ]
+
+
+SAMPLES = _samples()
+# a profile equals only itself, so a rebuilt profile, or a scenario
+# holding one, is compared through its repr
+BY_IDENTITY = (ConstantsProfile, Scenario)
+
+
+def _values(record):
+    return tuple(getattr(record, name) for name in type(record).__slots__)
+
+
+def _same(a, b):
+    assert type(a) is type(b) and repr(a) == repr(b)
+    if not isinstance(a, BY_IDENTITY):
+        assert a == b and hash(a) == hash(b)
+
+
+def test_every_record_type_is_sampled():
+    sampled = {type(r) for r in SAMPLES}
+    assert sampled == {
+        Quantity, LogInterval, Species, SpeciesTable, Scenario, RadiationBits,
+        InflationBounds, CapacityReport, BekensteinResult, SystemSpec,
+        SystemLimits, FleetSpec, LargeNumberReport, ConstantsProfile,
+    }
+
+
+@pytest.mark.parametrize("record", SAMPLES, ids=lambda r: type(r).__name__)
+def test_record_is_frozen(record):
+    for name in (*type(record).__slots__, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+
+
+@pytest.mark.parametrize("record", SAMPLES, ids=lambda r: type(r).__name__)
+def test_record_builds_by_position_and_by_name(record):
+    cls, values = type(record), _values(record)
+    _same(cls(*values), record)
+    _same(cls(**dict(zip(cls.__slots__, values))), record)
+    with pytest.raises(TypeError):
+        cls()
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    with pytest.raises(TypeError):
+        cls(*values, **{cls.__slots__[0]: values[0]})
+    with pytest.raises(TypeError):
+        cls(*values[:-1], unknown=None)
+
+
+def test_missing_required_field_is_named():
+    with pytest.raises(TypeError, match="missing required argument: 'age'"):
+        Scenario(rho=make(1e-27, ENERGY))
+    with pytest.raises(TypeError):
+        SystemSpec(make(1.0, ENERGY), make(1.0, ENTROPY))
+    with pytest.raises(TypeError):
+        Quantity(1)
+
+
+def test_defaults_apply():
+    assert Quantity(1, 2.0).dimension == DIMENSIONLESS
+    spec = SystemSpec(make(1.0, ENERGY), make(1.0, ENTROPY), make(1.0, LENGTH))
+    assert spec.area is None
+    scenario = Scenario(paper_scenario().rho, paper_scenario().age)
+    assert scenario.species is PHOTONS_ONLY and scenario.profile is PAPER
+    assert scenario.include_gravity is False and scenario.inflation_growth is None
+    # the two derived defaults are filled by the record's own check
+    assert scenario.hubble == paper_scenario().hubble
+    assert scenario.matter_radiation_transition.log10 == pytest.approx(13.34, abs=0.01)
+
+
+def test_equal_values_compare_and_hash_equal():
+    a, b = Species("nu", 2, 2, "fermion"), Species("nu", 2, 2, "fermion")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != Species("nu", 2, 1, "fermion")
+    assert LogInterval(1.0, 2.0) != (1.0, 2.0)
+    q = Quantity(1, 2.0, ENERGY)
+    assert q == Quantity(1, 2.0, ENERGY) and hash(q) == hash(Quantity(1, 2.0, ENERGY))
+    assert q != Quantity(1, 2.0, LENGTH)
+    assert len({q, Quantity(1, 2.0, ENERGY), -q}) == 2
+    assert PAPER == PAPER and PAPER != ConstantsProfile("paper", dict(PAPER.constants))
+
+
+@pytest.mark.parametrize("record", SAMPLES, ids=lambda r: type(r).__name__)
+def test_record_pickles_and_copies(record):
+    _same(pickle.loads(pickle.dumps(record)), record)
+    _same(copy.deepcopy(record), record)
+    _same(copy.copy(record), record)
+
+
+def test_reprs_read_back():
+    namespace = {"Quantity": Quantity, "Dimension": Dimension, "Fraction": Fraction,
+                 "LogInterval": LogInterval, "Species": Species}
+    for record in (SAMPLES[0], LogInterval(10.0, 6.0), Species("photon", 2, 1, "boson")):
+        assert eval(repr(record), namespace) == record
+    assert repr(Quantity(1, 2.0)) == (
+        "Quantity(sign=1, log10=2.0, dimension=Dimension(Fraction(0, 1), Fraction(0, 1), "
+        "Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)))"
+    )
+
+
+def test_arithmetic_results_are_full_quantities():
+    q = make(3.0, ENERGY) * make(2.0, LENGTH) / make(4.0, ENERGY)
+    assert type(q) is Quantity and q == make(1.5, LENGTH)
+    with pytest.raises(AttributeError):
+        q.sign = 0
+
+
+def test_import_loads_no_dataclasses_typing_or_inspect():
+    # -S: the site module of some environments imports typing itself
+    code = (
+        "import json, sys, cosmocap.cli; "
+        "print(json.dumps(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules))))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
