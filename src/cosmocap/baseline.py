@@ -8,6 +8,7 @@ short of what the universe's matter could do.
 
 from __future__ import annotations
 
+from . import formulas as f
 from .dimq import (
     DIMENSIONLESS,
     RATE,
@@ -17,6 +18,7 @@ from .dimq import (
     make,
     require,
     scalar,
+    zero,
 )
 
 __all__ = ["FleetSpec", "default_fleet", "fleet_bits", "fleet_ops", "historical_ops"]
@@ -58,14 +60,18 @@ def default_fleet() -> FleetSpec:
 
 def fleet_ops(fleet: FleetSpec) -> Quantity:
     """count × clock × ops/cycle × runtime; 1e31 for the defaults."""
-    return (
-        fleet.n_computers * fleet.clock_rate * fleet.ops_per_cycle * fleet.duration
-    )
+    return _fleet_row(f.FLEET_OPS, fleet)
 
 
 def fleet_bits(fleet: FleetSpec) -> Quantity:
     """count × bits each; 1e21 for the defaults."""
-    return fleet.n_computers * fleet.bits_per_computer
+    return _fleet_row(f.FLEET_BITS, fleet)
+
+
+def _fleet_row(row: f.Monomial, fleet: FleetSpec) -> Quantity:
+    if fleet.n_computers.sign == 0:  # an empty fleet computes and holds nothing
+        return zero(row.dimension)
+    return row.quantity({name: getattr(fleet, name).log10 for name in FleetSpec.__slots__})
 
 
 def historical_ops(fleet: FleetSpec) -> Quantity:

@@ -23,18 +23,17 @@ from __future__ import annotations
 
 import math
 
-from .constants import PAPER, ConstantsProfile, get, planck_length
+from . import formulas as f
+from .constants import PAPER, ConstantsProfile
 from .dimq import (
     AREA,
-    DIMENSIONLESS,
     ENERGY,
     ENTROPY,
     LENGTH,
-    ONE,
     Quantity,
     Record,
     require,
-    scalar,
+    zero,
 )
 
 __all__ = [
@@ -50,27 +49,29 @@ __all__ = [
     "system_limits",
 ]
 
-_LN2 = math.log(2.0)
-# relative slack below 1/(2 pi) before an input is called unphysical
-_BEKENSTEIN_EPS = 1e-9
+# 1/(2 pi) less a relative slack of 1e-9: a ratio below it is called unphysical
+_BEKENSTEIN_THRESHOLD_LOG10 = math.log10((1.0 - 1e-9) / (2.0 * math.pi))
 
 
 def max_ops_per_sec(energy: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
     """2E/(pi hbar): the fastest any state of mean energy E can evolve."""
     require(energy, ENERGY, "energy")
-    return scalar(2.0 / math.pi) * energy / get(profile, "hbar")
+    return f.MAX_OPS_PER_SEC.quantity(f.environment(profile, E=energy.log10))
 
 
 def min_flip_time(energy: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
     """pi hbar/(2E), the exact reciprocal of max_ops_per_sec."""
     # computed as 1/rate so the product is 1 to the last bit
-    return ONE / max_ops_per_sec(energy, profile)
+    require(energy, ENERGY, "energy")
+    return f.MIN_FLIP_TIME.quantity(f.environment(profile, E=energy.log10))
 
 
 def max_bits(entropy: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
     """S/(k_B ln 2).  Zero entropy is a legal, zero-bit register."""
     require(entropy, ENTROPY, "entropy", allow_zero=True)
-    return entropy / (get(profile, "k_B") * scalar(_LN2))
+    if entropy.sign == 0:
+        return zero(f.MAX_BITS.dimension)
+    return f.MAX_BITS.quantity(f.environment(profile, S=entropy.log10))
 
 
 def max_io_rate(
@@ -84,8 +85,9 @@ def max_io_rate(
     """
     require(entropy, ENTROPY, "entropy", allow_zero=True)
     require(radius, LENGTH, "radius")
-    c, k_b = get(profile, "c"), get(profile, "k_B")
-    return c * entropy / (k_b * radius)
+    if entropy.sign == 0:
+        return zero(f.MAX_IO_RATE.dimension)
+    return f.MAX_IO_RATE.quantity(f.environment(profile, S=entropy.log10, R=radius.log10))
 
 
 class BekensteinResult(Record):
@@ -107,17 +109,18 @@ def bekenstein_ratio(
     require(energy, ENERGY, "energy")
     require(radius, LENGTH, "radius")
     require(entropy, ENTROPY, "entropy")
-    hbar, c, k_b = get(profile, "hbar"), get(profile, "c"), get(profile, "k_B")
-    ratio = k_b * energy * radius / (hbar * c * entropy)
-    assert ratio.dimension == DIMENSIONLESS
-    threshold_log10 = math.log10((1.0 - _BEKENSTEIN_EPS) / (2.0 * math.pi))
-    return BekensteinResult(ratio, ratio.log10 < threshold_log10)
+    return _bekenstein(f.environment(profile, E=energy.log10, R=radius.log10, S=entropy.log10))
+
+
+def _bekenstein(env: dict[str, float]) -> BekensteinResult:
+    ratio = f.BEKENSTEIN_RATIO.quantity(env)
+    return BekensteinResult(ratio, ratio.log10 < _BEKENSTEIN_THRESHOLD_LOG10)
 
 
 def holographic_bits(area: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
     """area/l_P^2, the surface-area cap on distinguishable bits."""
     require(area, AREA, "area")
-    return area / planck_length(profile) ** 2
+    return f.HOLOGRAPHIC_BITS.quantity(f.environment(profile, A=area.log10))
 
 
 class SystemSpec(Record):
@@ -147,11 +150,15 @@ class SystemLimits(Record):
 
 def system_limits(spec: SystemSpec, profile: ConstantsProfile = PAPER) -> SystemLimits:
     """All five limits for one system in a single pass."""
+    radius = spec.radius.log10
+    # the effective area's log10 without building R², as R**2 would give it
+    area = radius * 2.0 if spec.area is None else spec.area.log10
+    env = f.environment(profile, E=spec.energy.log10, S=spec.entropy.log10, R=radius, A=area)
     return SystemLimits(
-        ops_per_sec=max_ops_per_sec(spec.energy, profile),
-        flip_time=min_flip_time(spec.energy, profile),
-        bits=max_bits(spec.entropy, profile),
-        io_rate=max_io_rate(spec.entropy, spec.radius, profile),
-        bekenstein=bekenstein_ratio(spec.energy, spec.radius, spec.entropy, profile),
-        holographic_bits=holographic_bits(spec.effective_area(), profile),
+        ops_per_sec=f.MAX_OPS_PER_SEC.quantity(env),
+        flip_time=f.MIN_FLIP_TIME.quantity(env),
+        bits=f.MAX_BITS.quantity(env),
+        io_rate=f.MAX_IO_RATE.quantity(env),
+        bekenstein=_bekenstein(env),
+        holographic_bits=f.HOLOGRAPHIC_BITS.quantity(env),
     )

@@ -15,16 +15,10 @@ would let them drift out of sync with the profile.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
 
+from . import formulas as f
 from .dimq import (
-    Dimension,
     DIMENSIONLESS,
-    ENERGY,
-    ENTROPY,
-    LENGTH,
-    MASS,
-    TIME,
     REQUIRED,
     InputError,
     Quantity,
@@ -37,6 +31,7 @@ from .dimq import (
     reject_unknown,
     require,
 )
+from .formulas import REQUIRED_DIMS  # re-exported: the CLI lists constants in this order
 
 __all__ = [
     "CODATA",
@@ -52,31 +47,22 @@ __all__ = [
     "profile_from_dict",
 ]
 
-_HALF = Fraction(1, 2)
-
-# dimension each registered constant must carry
-REQUIRED_DIMS: dict[str, Dimension] = {
-    "hbar": ENERGY * TIME,
-    "c": LENGTH / TIME,
-    "G": LENGTH**3 / (MASS * TIME**2),
-    "k_B": ENTROPY,
-    "m_e": MASS,
-    "m_p": MASS,
-    "e2": ENERGY * LENGTH,
-    "year_seconds": TIME,
-    "GeV_joules": ENERGY,
-}
-
-
 class ConstantsProfile(Record):
     """A named table of constants; constants maps each id to a Quantity.
 
-    Two profiles are equal only when they are the same object.
+    Two profiles are equal only when they are the same object.  A
+    built-in pickles and copies as itself; any other profile, such as
+    one loaded from a file, pickles and copies as a new, unequal object.
     """
 
     __slots__ = ("name", "constants")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+
+    def __reduce__(self):
+        if _BUILTIN.get(self.name) is self:
+            return builtin_profile, (self.name,)
+        return super().__reduce__()
 
     def _check(self) -> None:
         missing = sorted(set(REQUIRED_DIMS) - set(self.constants))
@@ -146,26 +132,22 @@ def get(profile: ConstantsProfile, cid: str) -> Quantity:
 
 def planck_time(profile: ConstantsProfile) -> Quantity:
     """sqrt(ħG/c⁵), derived fresh from the profile on every call."""
-    hbar, g, c = get(profile, "hbar"), get(profile, "G"), get(profile, "c")
-    return (hbar * g / c**5) ** _HALF
+    return f.PLANCK_TIME.quantity(f.environment(profile))
 
 
 def planck_length(profile: ConstantsProfile) -> Quantity:
     """sqrt(ħG/c³)."""
-    hbar, g, c = get(profile, "hbar"), get(profile, "G"), get(profile, "c")
-    return (hbar * g / c**3) ** _HALF
+    return f.PLANCK_LENGTH.quantity(f.environment(profile))
 
 
 def fine_structure_inverse(profile: ConstantsProfile) -> Quantity:
     """ħc/e², about 137 for modern values."""
-    q = get(profile, "hbar") * get(profile, "c") / get(profile, "e2")
-    assert q.dimension == DIMENSIONLESS
-    return q
+    return f.FINE_STRUCTURE_INVERSE.quantity(f.environment(profile))
 
 
 def mass_ratio(profile: ConstantsProfile) -> Quantity:
     """m_p/m_e, about 1836."""
-    return get(profile, "m_p") / get(profile, "m_e")
+    return f.MASS_RATIO.quantity(f.environment(profile))
 
 
 _ENTRY_FIELDS = {

@@ -19,7 +19,9 @@ ops per second and registers (c/H)²/ℓ_P² bits; total ops across a
 growth band are tracked as a log-space interval.
 
 Density ρ is mass density (kg/m³) throughout; energy density is always
-written ρc².
+written ρc².  Each formula here is a row of the table in ``formulas``;
+the functions check their inputs and evaluate that row, and
+``full_report`` evaluates all of its rows on one set of log10 inputs.
 """
 
 from __future__ import annotations
@@ -27,12 +29,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import formulas as f
 from .bounds import max_bits
-from .constants import PAPER, ConstantsProfile, get, planck_length, planck_time
+from .constants import PAPER, ConstantsProfile, get
 from .dimq import (
     DIMENSIONLESS,
     ENERGY,
-    ENTROPY,
     MASS_DENSITY,
     ONE,
     RATE,
@@ -43,11 +45,14 @@ from .dimq import (
     LogInterval,
     Quantity,
     Record,
+    _new,
     make,
     number,
     require,
-    scalar,
+    zero,
 )
+from .formulas import GUT_THRESHOLD_GEV
+from .largenum import _identities
 
 __all__ = [
     "GUT_THRESHOLD_GEV",
@@ -80,12 +85,8 @@ __all__ = [
     "radiation_energy_at",
 ]
 
-_HALF = Fraction(1, 2)
-_QUARTER = Fraction(1, 4)
-_LN2 = math.log(2.0)
 _LN10 = math.log(10.0)
-
-GUT_THRESHOLD_GEV = 2.0e16
+_LOG10_TWO = math.log10(2.0)
 
 # the paper's present-day universe, the default wherever a scenario is omitted
 PAPER_RHO_KG_M3 = 1.0e-27
@@ -137,6 +138,15 @@ class SpeciesTable(Record):
             raise ValueError("species table is empty")
         return sum((s.weight for s in self.entries), Fraction(0))
 
+    def log10_weight(self) -> float:
+        """log10 of Σ n_eff, from its integer numerator and denominator.
+
+        Σ n_eff is exact and may lie beyond double range, so its log10
+        never passes through a float of the weight itself.
+        """
+        weight = self.total_weight()
+        return math.log10(weight.numerator) - math.log10(weight.denominator)
+
 
 PHOTONS_ONLY = SpeciesTable((Species("photon", 2, 1, "boson"),))
 
@@ -152,50 +162,40 @@ def critical_density(
     require(hubble, RATE, "hubble")
     if mode not in ("exact", "approx"):
         raise ValueError(f"mode must be 'exact' or 'approx', got {mode!r}")
-    g = get(profile, "G")
-    h2 = hubble * hubble
-    if mode == "approx":
-        return h2 / g
-    return scalar(3.0 / (8.0 * math.pi)) * h2 / g
+    row = f.CRITICAL_DENSITY if mode == "exact" else f.CRITICAL_DENSITY_APPROX
+    return row.quantity(f.environment(profile, H=hubble.log10))
 
 
 def horizon_volume(age: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
     """c³t³, the causally connected volume at age t."""
     require(age, TIME, "age")
-    return (get(profile, "c") * age) ** 3
+    return f.HORIZON_VOLUME.quantity(f.environment(profile, t=age.log10))
 
 
 def ops_matter(rho: Quantity, age: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
     """ρc⁵t⁴/ħ: total ops the horizon's energy supports by age t."""
     require(rho, MASS_DENSITY, "rho")
     require(age, TIME, "age")
-    c, hbar = get(profile, "c"), get(profile, "hbar")
-    return rho * c**5 * age**4 / hbar
+    return f.OPS_MATTER.quantity(f.environment(profile, rho=rho.log10, t=age.log10))
 
 
 def ops_critical(age: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
     """(t/t_P)²: the matter-epoch count at critical density 1/(Gt²)."""
     require(age, TIME, "age")
-    return (age / planck_time(profile)) ** 2
+    return f.OPS_CRITICAL.quantity(f.environment(profile, t=age.log10))
 
 
 def apply_gravity(ops: Quantity, include: bool) -> Quantity:
     """Free gravitational degrees of freedom contribute a factor 2, no more."""
     require(ops, DIMENSIONLESS, "ops", allow_zero=True)
-    if not include:
+    if not include or ops.sign == 0:
         return ops
-    return scalar(2.0) * ops
+    return _new(Quantity, ops.sign, _LOG10_TWO + ops.log10, DIMENSIONLESS)
 
 
 def d_factor(species: SpeciesTable) -> Quantity:
-    """(π²/30)·Σ n_eff, the blackbody entropy prefactor.
-
-    Σ n_eff is exact and may lie beyond double range, so its log10 comes
-    from its integer numerator and denominator, never from a float.
-    """
-    weight = species.total_weight()
-    log10_weight = math.log10(weight.numerator) - math.log10(weight.denominator)
-    return scalar(math.pi**2 / 30.0) * Quantity(1, log10_weight)
+    """(π²/30)·Σ n_eff, the blackbody entropy prefactor."""
+    return f.D_FACTOR.quantity({"weight": species.log10_weight()})
 
 
 def blackbody_temperature(
@@ -208,11 +208,8 @@ def blackbody_temperature(
     About 18 K for today's ~1e-27 kg/m³ with photons alone.
     """
     require(rho, MASS_DENSITY, "rho")
-    hbar, c, k_b = get(profile, "hbar"), get(profile, "c"), get(profile, "k_B")
-    inner = hbar**3 * c**5 * rho / d_factor(species)
-    temperature = inner**_QUARTER / k_b
-    assert temperature.dimension == TEMPERATURE
-    return temperature
+    env = f.environment(profile, rho=rho.log10, weight=species.log10_weight())
+    return f.BLACKBODY_TEMPERATURE.quantity(env)
 
 
 def entropy_density(
@@ -221,8 +218,7 @@ def entropy_density(
     """S/V = 4ρc²/(3T) for radiation at temperature T."""
     require(rho, MASS_DENSITY, "rho")
     require(temperature, TEMPERATURE, "temperature")
-    c = get(profile, "c")
-    return scalar(4.0 / 3.0) * rho * c**2 / temperature
+    return f.ENTROPY_DENSITY.quantity(f.environment(profile, rho=rho.log10, T=temperature.log10))
 
 
 def entropy_in_volume(
@@ -239,11 +235,8 @@ def entropy_in_volume(
     """
     require(rho, MASS_DENSITY, "rho")
     require(volume, VOLUME, "volume")
-    hbar, c, k_b = get(profile, "hbar"), get(profile, "c"), get(profile, "k_B")
-    prefactor = scalar(4.0 / 3.0) * k_b * d_factor(species) ** _QUARTER
-    entropy = prefactor * (rho * c / hbar) ** Fraction(3, 4) * volume
-    assert entropy.dimension == ENTROPY
-    return entropy
+    env = f.environment(profile, rho=rho.log10, V=volume.log10, weight=species.log10_weight())
+    return f.ENTROPY_IN_VOLUME.quantity(env)
 
 
 def bits_matter(
@@ -274,7 +267,7 @@ def radiation_energy_at(e1: Quantity, t1: Quantity, t0: Quantity) -> Quantity:
     require(t0, TIME, "t0")
     if t0.log10 > t1.log10:
         raise ValueError("t0 must not exceed t1")
-    return e1 * (t1 / t0) ** _HALF
+    return f.RADIATION_ENERGY_AT.quantity({"E": e1.log10, "t": t1.log10, "t0": t0.log10})
 
 
 def ops_radiation(
@@ -290,13 +283,15 @@ def ops_radiation(
     require(t0, TIME, "t0", allow_zero=True)
     if t0.sign > 0 and t0.log10 > t1.log10:
         raise ValueError("t0 must not exceed t1")
-    hbar = get(profile, "hbar")
-    # t1·(1 − √(t0/t1)) from the log gap: expm1 keeps the digits that the
+    # 1 − √(t0/t1) from the log gap: expm1 keeps the digits that the
     # subtraction loses as t0 -> t1; the tail is exactly 0 at t0 = t1 and
-    # exactly t1 at t0 = 0, where the gap is -inf
+    # exactly 1 at t0 = 0, where the gap is -inf
     gap = -math.inf if t0.sign == 0 else t0.log10 - t1.log10
-    tail = t1 * scalar(-math.expm1(0.5 * _LN10 * gap))
-    return scalar(4.0 / math.pi) * e1 * tail / hbar
+    tail = -math.expm1(0.5 * _LN10 * gap)
+    if tail == 0:
+        return zero(DIMENSIONLESS)
+    env = f.environment(profile, E=e1.log10, t=t1.log10, tail=math.log10(tail))
+    return f.OPS_RADIATION.quantity(env)
 
 
 class RadiationBits(Record):
@@ -320,11 +315,9 @@ def bits_radiation(
     require(energy, ENERGY, "energy")
     require(temperature, TEMPERATURE, "temperature")
     species.total_weight()  # reject an empty bath up front
-    k_b = get(profile, "k_B")
-    bits = scalar(4.0 / (3.0 * _LN2)) * energy / (k_b * temperature)
-    threshold = scalar(GUT_THRESHOLD_GEV) * get(profile, "GeV_joules")
-    above = (k_b * temperature).log10 > threshold.log10
-    return RadiationBits(bits, above)
+    env = f.environment(profile, E=energy.log10, T=temperature.log10)
+    above = f.THERMAL_ENERGY.log10(env) > f.GUT_THRESHOLD.log10(env)
+    return RadiationBits(f.BITS_RADIATION.quantity(env), above)
 
 
 class InflationBounds(Record):
@@ -339,11 +332,15 @@ def inflation_bounds(hubble: Quantity, profile: ConstantsProfile = PAPER) -> Inf
     bits_horizon = (c/H)²/ℓ_P², which is 8π/3 × ops_per_hubble_time.
     """
     require(hubble, RATE, "hubble")
-    t_p = planck_time(profile)
-    ops_per_sec = scalar(3.0 / (8.0 * math.pi)) / (t_p**2 * hubble)
-    ops_per_hubble = ops_per_sec / hubble
-    bits = (get(profile, "c") / hubble) ** 2 / planck_length(profile) ** 2
-    return InflationBounds(ops_per_sec, ops_per_hubble, bits)
+    return _inflation_bounds(f.environment(profile, H=hubble.log10))
+
+
+def _inflation_bounds(env: dict[str, float]) -> InflationBounds:
+    return InflationBounds(
+        f.INFLATION_OPS_PER_SEC.quantity(env),
+        f.INFLATION_OPS_PER_HUBBLE_TIME.quantity(env),
+        f.INFLATION_BITS_HORIZON.quantity(env),
+    )
 
 
 def inflation_total_ops(growth: LogInterval) -> LogInterval:
@@ -396,30 +393,36 @@ def full_report(scenario: Scenario) -> CapacityReport:
     """Evaluate every headline quantity for one scenario.
 
     Pure function of the scenario; identical inputs give identical
-    (bitwise) outputs.
+    (bitwise) outputs.  Every value comes from one table row evaluated
+    on one log10 environment, the same rows the public functions use.
     """
-    from .largenum import identities  # cli-level aggregation, avoids an import cycle
-
-    profile = scenario.profile
-    ops = ops_matter(scenario.rho, scenario.age, profile)
-    # bits_matter and bits_holographic without recomputing their inputs
-    ops_c = ops_critical(scenario.age, profile)
-    volume = horizon_volume(scenario.age, profile)
-    entropy = entropy_in_volume(scenario.rho, volume, scenario.species, profile)
+    env = f.environment(
+        scenario.profile,
+        rho=scenario.rho.log10,
+        t=scenario.age.log10,
+        H=scenario.hubble.log10,
+        weight=scenario.species.log10_weight(),
+    )
+    env["V"] = f.HORIZON_VOLUME.log10(env)
+    entropy = f.ENTROPY_IN_VOLUME.quantity(env)
+    env["S"] = entropy.log10
+    ops = f.OPS_MATTER.quantity(env)
+    # bits_holographic is the ops_critical value itself
+    ops_c = f.OPS_CRITICAL.quantity(env)
     return CapacityReport(
         ops_matter=ops,
         ops_critical=ops_c,
         ops_with_gravity=apply_gravity(ops, scenario.include_gravity),
-        bits_matter=max_bits(entropy, profile),
+        bits_matter=f.MAX_BITS.quantity(env),
         bits_holographic=ops_c,
-        blackbody_T=blackbody_temperature(scenario.rho, scenario.species, profile),
+        blackbody_T=f.BLACKBODY_TEMPERATURE.quantity(env),
         entropy_total=entropy,
         matter_radiation_transition=scenario.matter_radiation_transition,
-        inflation=inflation_bounds(scenario.hubble, profile),
+        inflation=_inflation_bounds(env),
         inflation_total_ops=(
             None
             if scenario.inflation_growth is None
             else inflation_total_ops(scenario.inflation_growth)
         ),
-        large_numbers=identities(scenario.rho, scenario.age, profile),
+        large_numbers=_identities(env),
     )

@@ -1,0 +1,170 @@
+"""Every headline formula, declared once as a monomial in log space.
+
+Each capacity number in the package is a numeric prefactor times inputs
+and constants raised to fixed rational powers, e.g.
+
+    ops_matter = ρ c⁵ t⁴ ħ⁻¹
+
+so its log10 is the prefactor's log10 plus a weighted sum of its terms'
+log10, and its dimension is fixed by the terms alone.  A ``Monomial``
+checks that dimension once, when the row is built at import, against
+``REQUIRED_DIMS`` and ``INPUT_DIMS``; a call then adds plain floats and
+the public wrappers in ``constants``, ``cosmo``, ``bounds``, ``largenum``
+and ``baseline`` build one ``Quantity`` from the sum.
+
+Terms are listed in the order the Quantity arithmetic they replace
+multiplied, with a nested row wherever a product is raised to a power,
+so every output keeps its last bit: IEEE ``a + (-b)`` equals ``a - b``
+and ``x * 1.0`` equals ``x``.  A row for ``1/x`` starts from an explicit
+prefactor 1.0, so its sum starts at 0.0 and never yields -0.0.
+"""
+
+from __future__ import annotations
+
+import math
+from collections.abc import Mapping
+from fractions import Fraction
+
+from .dimq import (
+    AREA, DIMENSIONLESS, ENERGY, ENTROPY, LENGTH, MASS, MASS_DENSITY, RATE, TEMPERATURE, TIME,
+    VOLUME, Dimension, DimensionError, Quantity, _new,
+)
+
+# dimension each registered constant must carry
+REQUIRED_DIMS: dict[str, Dimension] = {
+    "hbar": ENERGY * TIME,
+    "c": LENGTH / TIME,
+    "G": LENGTH**3 / (MASS * TIME**2),
+    "k_B": ENTROPY,
+    "m_e": MASS,
+    "m_p": MASS,
+    "e2": ENERGY * LENGTH,
+    "year_seconds": TIME,
+    "GeV_joules": ENERGY,
+}
+
+# the inputs a row may name beside the constants, each given as its log10
+INPUT_DIMS: dict[str, Dimension] = {
+    "rho": MASS_DENSITY, "t": TIME, "t0": TIME, "H": RATE, "V": VOLUME, "S": ENTROPY,
+    "E": ENERGY, "R": LENGTH, "A": AREA, "T": TEMPERATURE,
+    "weight": DIMENSIONLESS,  # Σ n_eff of the species table
+    "tail": DIMENSIONLESS,  # 1 − √(t0/t1), the radiation-era window
+    # the fields of a baseline.FleetSpec
+    "n_computers": DIMENSIONLESS, "clock_rate": RATE, "ops_per_cycle": DIMENSIONLESS,
+    "duration": TIME, "bits_per_computer": DIMENSIONLESS,
+}
+
+_SYMBOL_DIMS = {**REQUIRED_DIMS, **INPUT_DIMS}
+
+
+class Monomial:
+    """prefactor × Π term^exponent, with a dimension checked when built.
+
+    ``terms`` are ``(term, exponent)`` pairs, or a bare term for exponent
+    1; a term is a symbol of ``REQUIRED_DIMS`` or ``INPUT_DIMS``, or
+    another ``Monomial``.  Exponents are ints or Fractions.
+    """
+
+    __slots__ = ("dimension", "prefactor", "terms", "_start", "_steps")
+
+    def __init__(self, dimension: Dimension, *terms, prefactor: float | None = None):
+        self.dimension = dimension
+        self.prefactor = prefactor
+        self.terms = tuple(term if isinstance(term, tuple) else (term, 1) for term in terms)
+        found = DIMENSIONLESS
+        for term, exponent in self.terms:
+            dim = term.dimension if isinstance(term, Monomial) else _SYMBOL_DIMS[term]
+            found *= dim if exponent == 1 else dim**exponent
+        if found != dimension:
+            raise DimensionError("terms do not give the declared dimension", found, dimension)
+        # None without a prefactor: the sum then starts at the first term itself
+        self._start = None if prefactor is None else math.log10(prefactor)
+        self._steps = tuple(
+            (None, t, float(e)) if isinstance(t, Monomial) else (t, None, float(e))
+            for t, e in self.terms
+        )
+
+    def log10(self, env: Mapping[str, float]) -> float:
+        """The row's log10 from each symbol's log10 in ``env``."""
+        total = self._start
+        for symbol, row, exponent in self._steps:
+            x = (env[symbol] if row is None else row.log10(env)) * exponent
+            total = x if total is None else total + x
+        return total
+
+    def quantity(self, env: Mapping[str, float]) -> Quantity:
+        """The row's positive value as a Quantity of its dimension."""
+        return _new(Quantity, 1, self.log10(env), self.dimension)
+
+
+def environment(profile, **inputs: float) -> dict[str, float]:
+    """log10 of the profile's required constants and of ``inputs``, by symbol."""
+    constants = profile.constants
+    env = {cid: constants[cid].log10 for cid in REQUIRED_DIMS}
+    env.update(inputs)
+    return env
+
+
+_HALF, _QUARTER = Fraction(1, 2), Fraction(1, 4)
+
+# -- constants --------------------------------------------------------
+PLANCK_TIME = Monomial(TIME, (Monomial(TIME**2, "hbar", "G", ("c", -5)), _HALF))
+PLANCK_LENGTH = Monomial(LENGTH, (Monomial(AREA, "hbar", "G", ("c", -3)), _HALF))
+FINE_STRUCTURE_INVERSE = Monomial(DIMENSIONLESS, "hbar", "c", ("e2", -1))
+MASS_RATIO = Monomial(DIMENSIONLESS, "m_p", ("m_e", -1))
+
+# -- cosmo: matter epoch ----------------------------------------------
+HORIZON_VOLUME = Monomial(VOLUME, (Monomial(LENGTH, "c", "t"), 3))
+OPS_MATTER = Monomial(DIMENSIONLESS, "rho", ("c", 5), ("t", 4), ("hbar", -1))
+OPS_CRITICAL = Monomial(DIMENSIONLESS, (Monomial(DIMENSIONLESS, "t", (PLANCK_TIME, -1)), 2))
+CRITICAL_DENSITY = Monomial(MASS_DENSITY, ("H", 2), ("G", -1), prefactor=3.0 / (8.0 * math.pi))
+CRITICAL_DENSITY_APPROX = Monomial(MASS_DENSITY, ("H", 2), ("G", -1))
+D_FACTOR = Monomial(DIMENSIONLESS, "weight", prefactor=math.pi**2 / 30.0)
+_BATH = Monomial(ENERGY**4, ("hbar", 3), ("c", 5), "rho", (D_FACTOR, -1))
+BLACKBODY_TEMPERATURE = Monomial(TEMPERATURE, (_BATH, _QUARTER), ("k_B", -1))
+ENTROPY_DENSITY = Monomial(ENTROPY / VOLUME, "rho", ("c", 2), ("T", -1), prefactor=4.0 / 3.0)
+_RHO_C_HBAR = Monomial(AREA**-2, "rho", "c", ("hbar", -1))
+ENTROPY_IN_VOLUME = Monomial(
+    ENTROPY, "k_B", (D_FACTOR, _QUARTER), (_RHO_C_HBAR, Fraction(3, 4)), "V", prefactor=4.0 / 3.0
+)
+
+# -- cosmo: radiation epoch -------------------------------------------
+RADIATION_ENERGY_AT = Monomial(ENERGY, "E", (Monomial(DIMENSIONLESS, "t", ("t0", -1)), _HALF))
+# tail is log10(1 − √(t0/t1)), which the caller forms with expm1
+OPS_RADIATION = Monomial(
+    DIMENSIONLESS, "E", Monomial(TIME, "t", "tail"), ("hbar", -1), prefactor=4.0 / math.pi
+)
+THERMAL_ENERGY = Monomial(ENERGY, "k_B", "T")
+BITS_RADIATION = Monomial(
+    DIMENSIONLESS, "E", (THERMAL_ENERGY, -1), prefactor=4.0 / (3.0 * math.log(2.0))
+)
+GUT_THRESHOLD_GEV = 2.0e16
+GUT_THRESHOLD = Monomial(ENERGY, "GeV_joules", prefactor=GUT_THRESHOLD_GEV)
+
+# -- cosmo: inflation -------------------------------------------------
+INFLATION_OPS_PER_SEC = Monomial(
+    RATE, (Monomial(TIME, (PLANCK_TIME, 2), "H"), -1), prefactor=3.0 / (8.0 * math.pi)
+)
+INFLATION_OPS_PER_HUBBLE_TIME = Monomial(DIMENSIONLESS, INFLATION_OPS_PER_SEC, ("H", -1))
+INFLATION_BITS_HORIZON = Monomial(
+    DIMENSIONLESS, (Monomial(LENGTH, "c", ("H", -1)), 2), (PLANCK_LENGTH, -2)
+)
+
+# -- largenum ---------------------------------------------------------
+ALPHA = Monomial(DIMENSIONLESS, "e2", (Monomial(ENERGY * LENGTH, "G", "m_e", "m_p"), -1))
+BETA = Monomial(DIMENSIONLESS, "c", "t", "m_e", ("c", 2), ("e2", -1))
+_BARYONS = Monomial(DIMENSIONLESS, "rho", ("c", 3), ("t", 3), ("m_p", -1))
+GAMMA = Monomial(DIMENSIONLESS, (_BARYONS, _HALF))
+
+# -- bounds -----------------------------------------------------------
+MAX_OPS_PER_SEC = Monomial(RATE, "E", ("hbar", -1), prefactor=2.0 / math.pi)
+MIN_FLIP_TIME = Monomial(TIME, (MAX_OPS_PER_SEC, -1), prefactor=1.0)
+MAX_BITS = Monomial(DIMENSIONLESS, "S", (Monomial(ENTROPY, "k_B", prefactor=math.log(2.0)), -1))
+MAX_IO_RATE = Monomial(RATE, "c", "S", (Monomial(ENTROPY * LENGTH, "k_B", "R"), -1))
+_HBAR_C_S = Monomial(ENERGY * LENGTH * ENTROPY, "hbar", "c", "S")
+BEKENSTEIN_RATIO = Monomial(DIMENSIONLESS, "k_B", "E", "R", (_HBAR_C_S, -1))
+HOLOGRAPHIC_BITS = Monomial(DIMENSIONLESS, "A", (PLANCK_LENGTH, -2))
+
+# -- baseline ---------------------------------------------------------
+FLEET_OPS = Monomial(DIMENSIONLESS, "n_computers", "clock_rate", "ops_per_cycle", "duration")
+FLEET_BITS = Monomial(DIMENSIONLESS, "n_computers", "bits_per_computer")

@@ -14,41 +14,36 @@ Their right-hand sides agree at critical density ρ = 1/(Gt²), where the
 op count ρc⁵t⁴/ħ is (t/t_P)².  αβ ≈ γ² is the classic statement that
 the coincidences are one coincidence, exact precisely at critical
 density.  ``identities`` reports each as a residual that equals 1 when
-the identity holds.
+the identity holds.  α, β and γ are rows of the table in ``formulas``;
+each residual is a ratio of separately evaluated rows, never one row
+whose exponents would cancel.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .constants import PAPER, ConstantsProfile, fine_structure_inverse, get, mass_ratio
-from .cosmo import ops_critical, ops_matter
-from .dimq import MASS_DENSITY, TIME, Quantity, Record, require
+from . import formulas as f
+from .constants import PAPER, ConstantsProfile
+from .dimq import DIMENSIONLESS, MASS_DENSITY, TIME, Quantity, Record, _new, require
 
 __all__ = ["LargeNumberReport", "alpha", "beta", "gamma", "identities"]
-
-_HALF = Fraction(1, 2)
 
 
 def alpha(profile: ConstantsProfile = PAPER) -> Quantity:
     """e²/(G m_e m_p), about 2.3e39 for modern constants."""
-    e2 = get(profile, "e2")
-    return e2 / (get(profile, "G") * get(profile, "m_e") * get(profile, "m_p"))
+    return f.ALPHA.quantity(f.environment(profile))
 
 
 def beta(t: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
     """c t divided by the classical electron radius e²/(m_e c²)."""
     require(t, TIME, "t")
-    c, m_e, e2 = get(profile, "c"), get(profile, "m_e"), get(profile, "e2")
-    return c * t * m_e * c**2 / e2
+    return f.BETA.quantity(f.environment(profile, t=t.log10))
 
 
 def gamma(rho: Quantity, t: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
     """√(ρc³t³/m_p): square root of the baryons inside the horizon."""
     require(rho, MASS_DENSITY, "rho")
     require(t, TIME, "t")
-    c, m_p = get(profile, "c"), get(profile, "m_p")
-    return (rho * c**3 * t**3 / m_p) ** _HALF
+    return f.GAMMA.quantity(f.environment(profile, rho=rho.log10, t=t.log10))
 
 
 class LargeNumberReport(Record):
@@ -63,12 +58,16 @@ def identities(
     rho: Quantity, t: Quantity, profile: ConstantsProfile = PAPER
 ) -> LargeNumberReport:
     """Evaluate α, β, γ and the three residuals at (ρ, t)."""
-    a = alpha(profile)
-    b = beta(t, profile)
-    g = gamma(rho, t, profile)
+    require(t, TIME, "t")  # before rho, the order beta and gamma report a bad input in
+    require(rho, MASS_DENSITY, "rho")
+    return _identities(f.environment(profile, rho=rho.log10, t=t.log10))
+
+
+def _identities(env: dict[str, float]) -> LargeNumberReport:
+    a, b, g = f.ALPHA.log10(env), f.BETA.log10(env), f.GAMMA.log10(env)
     # the conversion factor linking ops to βγ²: (ħc/e²)·(m_e/m_p) ≈ 137/1836
-    factor = fine_structure_inverse(profile) / mass_ratio(profile)
-    r1 = a * b / g**2
-    r2 = b * g**2 / (ops_matter(rho, t, profile) * factor)
-    r3 = a * b**2 / (ops_critical(t, profile) * factor)
-    return LargeNumberReport(a, b, g, r1, r2, r3)
+    factor = f.FINE_STRUCTURE_INVERSE.log10(env) - f.MASS_RATIO.log10(env)
+    r1 = a + b - g * 2.0
+    r2 = b + g * 2.0 - (f.OPS_MATTER.log10(env) + factor)
+    r3 = a + b * 2.0 - (f.OPS_CRITICAL.log10(env) + factor)
+    return LargeNumberReport(*[_new(Quantity, 1, x, DIMENSIONLESS) for x in (a, b, g, r1, r2, r3)])

@@ -34,8 +34,8 @@ def test_default_fleet_lands_on_round_decades():
 
 def test_empty_fleet_computes_nothing():
     fleet = FleetSpec.from_counts(0.0, 1e9, 1e5, 1e8, 1e12)
-    assert fleet_ops(fleet).is_zero
-    assert fleet_bits(fleet).is_zero
+    for q in (fleet_ops(fleet), fleet_bits(fleet), historical_ops(fleet)):
+        assert q.is_zero and q.dimension == DIMENSIONLESS
 
 
 def test_historical_ops_doubles_the_fleet():

@@ -84,9 +84,15 @@ def test_max_bits_unit_and_zero():
     k_b = get(PAPER, "k_B")
     one_bit = max_bits(k_b * scalar(math.log(2.0)))
     assert one_bit.to_value() == pytest.approx(1.0, rel=1e-12)
-    assert max_bits(zero(ENTROPY)).is_zero
+    none = max_bits(zero(ENTROPY))
+    assert none.is_zero and none.dimension == DIMENSIONLESS
     with pytest.raises(ValueError):
         max_bits(make(-1.0, ENTROPY))
+
+
+def test_io_rate_of_zero_entropy_is_a_zero_rate():
+    rate = max_io_rate(zero(ENTROPY), make(1.0, LENGTH))
+    assert rate.is_zero and rate.dimension == RATE
 
 
 def test_io_rate_unit_case():

@@ -8,22 +8,34 @@ here as a count.
 import cProfile
 import pstats
 
+from cosmocap import dimq
 from cosmocap.cosmo import full_report, paper_scenario
 from cosmocap.dimq import Quantity
 
-# Fraction.__new__ calls in one paper report.  Dimension arithmetic builds
-# none; the species weights and the horizon entropy build the 11 left.
-MAX_FRACTIONS_PER_REPORT = 60
 
-
-def test_full_report_builds_few_fractions():
+def _profiled_report(scenario=None) -> cProfile.Profile:
+    """A profile of one full_report: of ``scenario``, or of paper_scenario() built inside."""
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        full_report(paper_scenario())
+        full_report(paper_scenario() if scenario is None else scenario)
     finally:
         profiler.disable()
-    stats = pstats.Stats(profiler).stats
+    return profiler
+
+
+def _calls(profiler: cProfile.Profile, code) -> int:
+    return sum(e.callcount for e in profiler.getstats() if e.code is code)
+
+
+# Fraction.__new__ calls in one paper report, the scenario's construction
+# included.  The formula table's exponents are floats fixed at import, so
+# only the species weight Σ n_eff builds any: 3 for photons alone.
+MAX_FRACTIONS_PER_REPORT = 5
+
+
+def test_full_report_builds_few_fractions():
+    stats = pstats.Stats(_profiled_report()).stats
     fractions = sum(
         ncalls
         for (path, _, name), (_, ncalls, *_) in stats.items()
@@ -33,21 +45,18 @@ def test_full_report_builds_few_fractions():
 
 
 # Quantity constructions in one full_report of a prebuilt paper scenario:
-# 95 when each value is computed once, so that bits_matter reuses the
-# horizon entropy and bits_holographic is the ops_critical value.  Every
-# construction runs Quantity.__new__: a public Quantity(...) call and an
-# arithmetic result alike, the latter without __init__.
-MAX_QUANTITIES_PER_REPORT = 100
+# one per table row the report shows, 14 in all, since bits_holographic is
+# the ops_critical value and ops_with_gravity the ops_matter value when
+# gravity is off.  Every construction runs Quantity.__new__.
+MAX_QUANTITIES_PER_REPORT = 30
 
 
 def test_full_report_builds_each_quantity_once():
-    scenario = paper_scenario()
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        full_report(scenario)
-    finally:
-        profiler.disable()
-    new = Quantity.__new__.__code__
-    quantities = sum(e.callcount for e in profiler.getstats() if e.code is new)
+    quantities = _calls(_profiled_report(paper_scenario()), Quantity.__new__.__code__)
     assert 0 < quantities <= MAX_QUANTITIES_PER_REPORT
+
+
+def test_full_report_builds_no_dimension():
+    # every Dimension is built by dimq._reduced; the table fixed each
+    # row's dimension at import, so a report builds none
+    assert _calls(_profiled_report(paper_scenario()), dimq._reduced.__code__) == 0

@@ -35,6 +35,7 @@ from cosmocap.cosmo import (
     radiation_energy_at,
 )
 from cosmocap.dimq import (
+    DIMENSIONLESS,
     ENERGY,
     MASS_DENSITY,
     ONE,
@@ -301,7 +302,8 @@ def test_ops_radiation_worked_example():
 
 def test_ops_radiation_zero_width_window():
     t1 = make(7.3, TIME)
-    assert ops_radiation(make(1.0, ENERGY), t1, t1).is_zero
+    ops = ops_radiation(make(1.0, ENERGY), t1, t1)
+    assert ops.is_zero and ops.dimension == DIMENSIONLESS
 
 
 def test_ops_radiation_from_the_beginning():

@@ -1,0 +1,205 @@
+"""The formula table: each row's dimension, and its value against mpmath.
+
+Every row's dimension is fixed when ``cosmocap.formulas`` is imported;
+the first tests pin each one to a literal and check that a row declared
+with the wrong dimension cannot be built.  The oracle test evaluates
+every row at the inputs of the domain fixture (``test_domain.py``) and
+compares it with its formula, written out again here from the physics
+and evaluated by ``mpmath`` at 50 digits from the profiles' raw constant
+values.  Tolerances are absolute, in decades of the row's log10, and
+come in two sizes: ``NEAR`` for rows whose terms stay within a few dozen
+decades (constants, species weights, fleet counts), and ``FAR`` for rows
+of domain inputs, whose terms reach about 1200 decades (t⁴ with t near
+1e300, or a horizon energy), where adjacent doubles are 2.3e-13 apart.
+"""
+
+import json
+import math
+from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
+
+import mpmath
+import pytest
+
+from cosmocap import CODATA, PAPER, formulas as f, load_profile
+from cosmocap.dimq import DIMENSIONLESS, RATE, TIME, Dimension, DimensionError
+
+DATA = Path(__file__).parent / "data"
+
+ROWS = {name: row for name, row in vars(f).items()
+        if isinstance(row, f.Monomial) and not name.startswith("_")}
+
+# (length, mass, time, temperature, charge2) of every row
+EXPECTED_DIMS = {
+    "PLANCK_TIME": Dimension(0, 0, 1),
+    "PLANCK_LENGTH": Dimension(1),
+    "FINE_STRUCTURE_INVERSE": Dimension(),
+    "MASS_RATIO": Dimension(),
+    "HORIZON_VOLUME": Dimension(3),
+    "OPS_MATTER": Dimension(),
+    "OPS_CRITICAL": Dimension(),
+    "CRITICAL_DENSITY": Dimension(-3, 1),
+    "CRITICAL_DENSITY_APPROX": Dimension(-3, 1),
+    "D_FACTOR": Dimension(),
+    "BLACKBODY_TEMPERATURE": Dimension(0, 0, 0, 1),
+    "ENTROPY_DENSITY": Dimension(-1, 1, -2, -1),
+    "ENTROPY_IN_VOLUME": Dimension(2, 1, -2, -1),
+    "RADIATION_ENERGY_AT": Dimension(2, 1, -2),
+    "OPS_RADIATION": Dimension(),
+    "THERMAL_ENERGY": Dimension(2, 1, -2),
+    "BITS_RADIATION": Dimension(),
+    "GUT_THRESHOLD": Dimension(2, 1, -2),
+    "INFLATION_OPS_PER_SEC": Dimension(0, 0, -1),
+    "INFLATION_OPS_PER_HUBBLE_TIME": Dimension(),
+    "INFLATION_BITS_HORIZON": Dimension(),
+    "ALPHA": Dimension(),
+    "BETA": Dimension(),
+    "GAMMA": Dimension(),
+    "MAX_OPS_PER_SEC": Dimension(0, 0, -1),
+    "MIN_FLIP_TIME": Dimension(0, 0, 1),
+    "MAX_BITS": Dimension(),
+    "MAX_IO_RATE": Dimension(0, 0, -1),
+    "BEKENSTEIN_RATIO": Dimension(),
+    "HOLOGRAPHIC_BITS": Dimension(),
+    "FLEET_OPS": Dimension(),
+    "FLEET_BITS": Dimension(),
+}
+
+
+def test_every_row_has_its_expected_dimension():
+    assert {name: row.dimension for name, row in ROWS.items()} == EXPECTED_DIMS
+
+
+@pytest.mark.parametrize("declared, terms", [
+    (TIME, ("rho", ("c", 5), ("t", 4), ("hbar", -1))),  # ops_matter is a count, not a time
+    (DIMENSIONLESS, ((f.OPS_MATTER, Fraction(3, 4)), "t")),  # a count times t is a time
+])
+def test_a_row_with_the_wrong_dimension_cannot_be_built(declared, terms):
+    with pytest.raises(DimensionError, match="declared dimension"):
+        f.Monomial(declared, *terms)
+
+
+def test_a_reciprocal_row_never_yields_negative_zero():
+    # 1/x from a prefactor 1.0 starts at log10(1.0) = 0.0, as ONE / x did
+    assert math.copysign(1.0, f.Monomial(RATE, ("t", -1), prefactor=1.0).log10({"t": 0.0})) == 1.0
+    assert math.copysign(1.0, f.Monomial(RATE, ("t", -1)).log10({"t": 0.0})) == -1.0
+
+
+# ---------------------------------------------------------------- oracle
+
+mpmath.mp.dps = 50
+mp = mpmath.mp
+
+RAW = {
+    "paper": {
+        "hbar": 1.0545e-34, "c": 2.98e8, "G": 6.673e-11, "k_B": 1.38e-23,
+        "m_e": 9.1093837015e-31, "m_p": 1.67262192369e-27, "e2": 2.3070775523e-28,
+        "year_seconds": 3.156e7, "GeV_joules": 1.602e-10,
+    },
+    "codata": {
+        "hbar": 1.054571817e-34, "c": 2.99792458e8, "G": 6.674e-11, "k_B": 1.380649e-23,
+        "m_e": 9.1093837015e-31, "m_p": 1.67262192369e-27, "e2": 2.3070775523e-28,
+        "year_seconds": 3.156e7, "GeV_joules": 1.602176634e-10,
+    },
+    "file": {
+        cid: entry["value"] for cid, entry in json.loads(
+            (DATA / "domain_profile.json").read_text(encoding="utf-8")
+        )["constants"].items()
+    },
+}
+
+LN2 = mp.log(2)
+
+NEAR = 2e-14  # about 20 spacings of doubles near 50 decades
+FAR = 1e-12  # about 4 spacings of doubles near 1200 decades
+
+# each row's formula from the physics, and its tolerance in decades
+ORACLE = {
+    "PLANCK_TIME": (lambda v: mp.sqrt(v.hbar * v.G / v.c**5), NEAR),
+    "PLANCK_LENGTH": (lambda v: mp.sqrt(v.hbar * v.G / v.c**3), NEAR),
+    "FINE_STRUCTURE_INVERSE": (lambda v: v.hbar * v.c / v.e2, NEAR),
+    "MASS_RATIO": (lambda v: v.m_p / v.m_e, NEAR),
+    "HORIZON_VOLUME": (lambda v: (v.c * v.t) ** 3, FAR),
+    "OPS_MATTER": (lambda v: v.rho * v.c**5 * v.t**4 / v.hbar, FAR),
+    "OPS_CRITICAL": (lambda v: v.t**2 * v.c**5 / (v.hbar * v.G), FAR),
+    "CRITICAL_DENSITY": (lambda v: 3 * v.H**2 / (8 * mp.pi * v.G), FAR),
+    "CRITICAL_DENSITY_APPROX": (lambda v: v.H**2 / v.G, FAR),
+    "D_FACTOR": (lambda v: mp.pi**2 / 30 * v.weight, NEAR),
+    "BLACKBODY_TEMPERATURE": (
+        lambda v: (30 * v.hbar**3 * v.c**5 * v.rho / (mp.pi**2 * v.weight)) ** 0.25 / v.k_B, FAR
+    ),
+    "ENTROPY_DENSITY": (lambda v: 4 * v.rho * v.c**2 / (3 * v.T), FAR),
+    "ENTROPY_IN_VOLUME": (
+        lambda v: 4 * v.k_B / 3 * (mp.pi**2 * v.weight / 30) ** 0.25
+        * (v.rho * v.c / v.hbar) ** 0.75 * v.V,
+        FAR,
+    ),
+    "RADIATION_ENERGY_AT": (lambda v: v.E * mp.sqrt(v.t / v.t0), FAR),
+    "OPS_RADIATION": (lambda v: 4 * v.E / (mp.pi * v.hbar) * (v.t - mp.sqrt(v.t * v.t0)), FAR),
+    "THERMAL_ENERGY": (lambda v: v.k_B * v.T, FAR),
+    "BITS_RADIATION": (lambda v: 4 * v.E / (3 * LN2 * v.k_B * v.T), FAR),
+    "GUT_THRESHOLD": (lambda v: mp.mpf("2e16") * v.GeV_joules, NEAR),
+    "INFLATION_OPS_PER_SEC": (lambda v: 3 * v.c**5 / (8 * mp.pi * v.hbar * v.G * v.H), FAR),
+    "INFLATION_OPS_PER_HUBBLE_TIME": (
+        lambda v: 3 * v.c**5 / (8 * mp.pi * v.hbar * v.G * v.H**2), FAR
+    ),
+    "INFLATION_BITS_HORIZON": (lambda v: v.c**5 / (v.hbar * v.G * v.H**2), FAR),
+    "ALPHA": (lambda v: v.e2 / (v.G * v.m_e * v.m_p), NEAR),
+    "BETA": (lambda v: v.c**3 * v.t * v.m_e / v.e2, FAR),
+    "GAMMA": (lambda v: mp.sqrt(v.rho * v.c**3 * v.t**3 / v.m_p), FAR),
+    "MAX_OPS_PER_SEC": (lambda v: 2 * v.E / (mp.pi * v.hbar), FAR),
+    "MIN_FLIP_TIME": (lambda v: mp.pi * v.hbar / (2 * v.E), FAR),
+    "MAX_BITS": (lambda v: v.S / (v.k_B * LN2), FAR),
+    "MAX_IO_RATE": (lambda v: v.c * v.S / (v.k_B * v.R), FAR),
+    "BEKENSTEIN_RATIO": (lambda v: v.k_B * v.E * v.R / (v.hbar * v.c * v.S), FAR),
+    "HOLOGRAPHIC_BITS": (lambda v: v.A * v.c**3 / (v.hbar * v.G), FAR),
+    "FLEET_OPS": (lambda v: v.n_computers * v.clock_rate * v.ops_per_cycle * v.duration, NEAR),
+    "FLEET_BITS": (lambda v: v.n_computers * v.bits_per_computer, NEAR),
+}
+
+PROFILES = {"paper": PAPER, "codata": CODATA, "file": load_profile(str(DATA / "domain_profile.json"))}
+
+
+def _oracle_inputs(inp: dict, horizon: dict) -> dict:
+    """Every input symbol's exact value at one fixture scenario."""
+    t = mp.mpf(inp["age"])
+    weight = sum(
+        Fraction(p * a) * (Fraction(7, 8) if stats == "fermion" else 1)
+        for _, p, a, stats in inp["species"]
+    )
+    E, S, R, T = (mp.mpf(10) ** mp.mpf(horizon[k]) for k in "ESRT")
+    fleet = dict(zip(("n_computers", "clock_rate", "ops_per_cycle", "duration",
+                      "bits_per_computer"), inp["fleet"]))
+    # an empty fleet has no log10; its exact zero is pinned in test_baseline
+    fleet["n_computers"] = fleet["n_computers"] or 1.0
+    t0 = t * mp.mpf(10) ** -mp.mpf(inp["t0_decades"])
+    return {
+        "rho": mp.mpf(inp["rho"]), "t": t, "t0": t0,
+        "H": 1 / t if inp["hubble"] is None else mp.mpf(inp["hubble"]),
+        "weight": mp.mpf(weight.numerator) / weight.denominator,
+        "E": E, "S": S, "R": R, "T": T, "V": R**3, "A": R**2,
+        "tail": 1 - mp.sqrt(t0 / t),
+        **{k: mp.mpf(v) for k, v in fleet.items()},
+    }
+
+
+def _fixture_inputs():
+    doc = json.loads((DATA / "domain_fixture.json").read_text(encoding="utf-8"))
+    return [(case["inputs"], case["horizon_log10"]) for case in doc["scenarios"]]
+
+
+def test_the_oracle_covers_every_row():
+    assert ORACLE.keys() == ROWS.keys()
+
+
+@pytest.mark.parametrize("index", range(60))
+def test_rows_agree_with_mpmath(index):
+    inp, horizon = _fixture_inputs()[index]
+    exact = _oracle_inputs(inp, horizon)
+    env = f.environment(PROFILES[inp["profile"]],
+                        **{k: float(mp.log10(v)) for k, v in exact.items()})
+    v = SimpleNamespace(**{k: mp.mpf(x) for k, x in RAW[inp["profile"]].items()}, **exact)
+    for name, (formula, tol) in ORACLE.items():
+        err = abs(ROWS[name].log10(env) - float(mp.log10(formula(v))))
+        assert err <= tol, (name, err)

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from cosmocap import (
+    CODATA,
     DIMENSIONLESS,
     ENERGY,
     ENTROPY,
@@ -41,12 +42,14 @@ from cosmocap import (
     SystemSpec,
     default_fleet,
     full_report,
+    load_profile,
     make,
     system_limits,
 )
 from cosmocap.cosmo import paper_scenario
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+PROFILE_FILE = str(Path(__file__).resolve().parent / "data" / "codata_profile.json")
 
 
 def _samples():
@@ -164,6 +167,23 @@ def test_record_pickles_and_copies(record):
     _same(pickle.loads(pickle.dumps(record)), record)
     _same(copy.deepcopy(record), record)
     _same(copy.copy(record), record)
+
+
+@pytest.mark.parametrize("profile", [PAPER, CODATA], ids=lambda p: p.name)
+def test_builtin_profile_pickles_and_copies_as_itself(profile):
+    for clone in (pickle.loads(pickle.dumps(profile)), copy.copy(profile), copy.deepcopy(profile)):
+        assert clone is profile
+    scenario = paper_scenario(profile)
+    for clone in (pickle.loads(pickle.dumps(scenario)), copy.deepcopy(scenario)):
+        assert clone == scenario and hash(clone) == hash(scenario)
+
+
+def test_other_profiles_copy_as_new_unequal_objects():
+    # equality is identity, and only a registered built-in has an identity
+    # that survives a copy; a namesake or a file-loaded profile does not
+    for profile in (ConstantsProfile("paper", dict(PAPER.constants)), load_profile(PROFILE_FILE)):
+        for clone in (pickle.loads(pickle.dumps(profile)), copy.deepcopy(profile)):
+            assert clone != profile and repr(clone) == repr(profile)
 
 
 def test_reprs_read_back():
