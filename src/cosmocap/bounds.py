@@ -112,7 +112,7 @@ def bekenstein_ratio(
     return _bekenstein(f.environment(profile, E=energy.log10, R=radius.log10, S=entropy.log10))
 
 
-def _bekenstein(env: dict[str, float]) -> BekensteinResult:
+def _bekenstein(env: dict[object, float]) -> BekensteinResult:
     ratio = f.BEKENSTEIN_RATIO.quantity(env)
     return BekensteinResult(ratio, ratio.log10 < _BEKENSTEIN_THRESHOLD_LOG10)
 
@@ -154,11 +154,11 @@ def system_limits(spec: SystemSpec, profile: ConstantsProfile = PAPER) -> System
     # the effective area's log10 without building R², as R**2 would give it
     area = radius * 2.0 if spec.area is None else spec.area.log10
     env = f.environment(profile, E=spec.energy.log10, S=spec.entropy.log10, R=radius, A=area)
-    return SystemLimits(
-        ops_per_sec=f.MAX_OPS_PER_SEC.quantity(env),
-        flip_time=f.MIN_FLIP_TIME.quantity(env),
-        bits=f.MAX_BITS.quantity(env),
-        io_rate=f.MAX_IO_RATE.quantity(env),
-        bekenstein=_bekenstein(env),
-        holographic_bits=f.HOLOGRAPHIC_BITS.quantity(env),
+    return SystemLimits(  # by position, which skips Record._arguments
+        f.MAX_OPS_PER_SEC.quantity(env),
+        f.MIN_FLIP_TIME.quantity(env),
+        f.MAX_BITS.quantity(env),
+        f.MAX_IO_RATE.quantity(env),
+        _bekenstein(env),
+        f.HOLOGRAPHIC_BITS.quantity(env),
     )

@@ -8,13 +8,17 @@ values.  Electron mass, proton mass and the Gaussian squared charge e²
 (an energy·length, so that ħc/e² is the dimensionless ~137) are modern
 in both.
 
-Planck time and length are always derived from ħ, G and c; storing them
-would let them drift out of sync with the profile.
+A profile's constants are read-only.  When a profile is built it
+derives, once, the log10 of each required constant and of every formula
+of constants alone (Planck time and length, ħc/e², m_p/m_e, α); since
+the constants cannot change, those values cannot drift out of sync with
+them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from types import MappingProxyType
 
 from . import formulas as f
 from .dimq import (
@@ -50,26 +54,31 @@ __all__ = [
 class ConstantsProfile(Record):
     """A named table of constants; constants maps each id to a Quantity.
 
+    ``constants`` is a read-only view of a copy of the mapping given.
     Two profiles are equal only when they are the same object.  A
     built-in pickles and copies as itself; any other profile, such as
     one loaded from a file, pickles and copies as a new, unequal object.
     """
 
-    __slots__ = ("name", "constants")
+    __slots__ = ("name", "constants", "_log10s")  # _log10s: formulas.profile_table
+    _fields = ("name", "constants")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
     def __reduce__(self):
         if _BUILTIN.get(self.name) is self:
             return builtin_profile, (self.name,)
-        return super().__reduce__()
+        return ConstantsProfile, (self.name, dict(self.constants))
 
     def _check(self) -> None:
-        missing = sorted(set(REQUIRED_DIMS) - set(self.constants))
+        constants = dict(self.constants)
+        missing = sorted(set(REQUIRED_DIMS) - set(constants))
         if missing:
             raise ValueError(f"profile {self.name!r} missing constants: {missing}")
-        for cid, q in self.constants.items():
+        for cid, q in constants.items():
             require(q, REQUIRED_DIMS.get(cid, q.dimension), f"constant {cid!r}")
+        object.__setattr__(self, "constants", MappingProxyType(constants))
+        object.__setattr__(self, "_log10s", f.profile_table(constants))
 
 
 def _profile(name: str, values: Mapping[str, float]) -> ConstantsProfile:
@@ -131,7 +140,7 @@ def get(profile: ConstantsProfile, cid: str) -> Quantity:
 
 
 def planck_time(profile: ConstantsProfile) -> Quantity:
-    """sqrt(ħG/c⁵), derived fresh from the profile on every call."""
+    """sqrt(ħG/c⁵); ħG/c⁵ is derived once per profile, from its read-only constants."""
     return f.PLANCK_TIME.quantity(f.environment(profile))
 
 

@@ -36,7 +36,6 @@ from .dimq import (
     DIMENSIONLESS,
     ENERGY,
     MASS_DENSITY,
-    ONE,
     RATE,
     TEMPERATURE,
     TIME,
@@ -87,6 +86,9 @@ __all__ = [
 
 _LN10 = math.log(10.0)
 _LOG10_TWO = math.log10(2.0)
+_LOG10_TRANSITION_YEARS = math.log10(7.0e5)  # the default matter-radiation transition
+# n_eff per polarization state and particle, in eighths: 1 for a boson, 7/8 for a fermion
+_EIGHTHS = {"boson": 8, "fermion": 7}
 
 # the paper's present-day universe, the default wherever a scenario is omitted
 PAPER_RHO_KG_M3 = 1.0e-27
@@ -119,33 +121,49 @@ class Species(Record):
     @property
     def weight(self) -> Fraction:
         """n_eff: polarizations × antiparticle count × (1 boson, 7/8 fermion)."""
-        w = Fraction(self.polarizations * self.particle_antiparticle)
-        if self.statistics == "fermion":
-            w *= Fraction(7, 8)
-        return w
+        states = self.polarizations * self.particle_antiparticle
+        return Fraction(states * _EIGHTHS[self.statistics], 8)
 
 
 class SpeciesTable(Record):
-    __slots__ = ("entries",)  # tuple[Species, ...]
+    """The species of a radiation bath, and their total weight Σ n_eff.
+
+    Σ n_eff is summed once, when the table is built, as an exact integer
+    count of eighths; ``total_weight`` and ``log10_weight`` read that
+    count.  An empty table is legal to build, but has no weight.
+    """
+
+    __slots__ = ("entries", "_eighths")  # entries: tuple[Species, ...]; _eighths: 8 Σ n_eff
+    _fields = ("entries",)
 
     def _check(self) -> None:
-        if not all(isinstance(s, Species) for s in self.entries):
-            raise TypeError("entries must be Species")
+        eighths = 0
+        for s in self.entries:
+            if not isinstance(s, Species):
+                raise TypeError("entries must be Species")
+            eighths += s.polarizations * s.particle_antiparticle * _EIGHTHS[s.statistics]
+        object.__setattr__(self, "_eighths", eighths)
+
+    def _weight_eighths(self) -> int:
+        # radiation formulas divide by Σ n_eff; an empty bath has no temperature
+        if not self._eighths:
+            raise ValueError("species table is empty")
+        return self._eighths
 
     def total_weight(self) -> Fraction:
-        # radiation formulas divide by this; an empty bath has no temperature
-        if not self.entries:
-            raise ValueError("species table is empty")
-        return sum((s.weight for s in self.entries), Fraction(0))
+        """Σ n_eff, exactly."""
+        return Fraction(self._weight_eighths(), 8)
 
     def log10_weight(self) -> float:
         """log10 of Σ n_eff, from its integer numerator and denominator.
 
         Σ n_eff is exact and may lie beyond double range, so its log10
-        never passes through a float of the weight itself.
+        never passes through a float of the weight itself.  The two are
+        those of ``total_weight()`` in lowest terms, without building it.
         """
-        weight = self.total_weight()
-        return math.log10(weight.numerator) - math.log10(weight.denominator)
+        eighths = self._weight_eighths()
+        g = math.gcd(eighths, 8)
+        return math.log10(eighths // g) - math.log10(8 // g)
 
 
 PHOTONS_ONLY = SpeciesTable((Species("photon", 2, 1, "boson"),))
@@ -314,9 +332,9 @@ def bits_radiation(
     """
     require(energy, ENERGY, "energy")
     require(temperature, TEMPERATURE, "temperature")
-    species.total_weight()  # reject an empty bath up front
+    species._weight_eighths()  # reject an empty bath up front
     env = f.environment(profile, E=energy.log10, T=temperature.log10)
-    above = f.THERMAL_ENERGY.log10(env) > f.GUT_THRESHOLD.log10(env)
+    above = f.THERMAL_ENERGY.log10(env) > env[f.GUT_THRESHOLD]  # a row of constants alone
     return RadiationBits(f.BITS_RADIATION.quantity(env), above)
 
 
@@ -335,7 +353,7 @@ def inflation_bounds(hubble: Quantity, profile: ConstantsProfile = PAPER) -> Inf
     return _inflation_bounds(f.environment(profile, H=hubble.log10))
 
 
-def _inflation_bounds(env: dict[str, float]) -> InflationBounds:
+def _inflation_bounds(env: dict[object, float]) -> InflationBounds:
     return InflationBounds(
         f.INFLATION_OPS_PER_SEC.quantity(env),
         f.INFLATION_OPS_PER_HUBBLE_TIME.quantity(env),
@@ -363,13 +381,14 @@ class Scenario(Record):
     def _check(self) -> None:
         require(self.rho, MASS_DENSITY, "rho")
         require(self.age, TIME, "age")
-        if self.hubble is None:
-            object.__setattr__(self, "hubble", ONE / self.age)
+        if self.hubble is None:  # 1/t, the same bits as ONE / age
+            object.__setattr__(self, "hubble", _new(Quantity, 1, 0.0 - self.age.log10, RATE))
         require(self.hubble, RATE, "hubble")
         if not isinstance(self.species, SpeciesTable):
             raise TypeError("species must be a SpeciesTable")
-        if self.matter_radiation_transition is None:
-            transition = make(7.0e5) * get(self.profile, "year_seconds")
+        if self.matter_radiation_transition is None:  # the same bits as make(7e5) * year
+            year = get(self.profile, "year_seconds").log10
+            transition = _new(Quantity, 1, _LOG10_TRANSITION_YEARS + year, TIME)
             object.__setattr__(self, "matter_radiation_transition", transition)
         require(self.matter_radiation_transition, TIME, "matter_radiation_transition")
 
@@ -409,20 +428,17 @@ def full_report(scenario: Scenario) -> CapacityReport:
     ops = f.OPS_MATTER.quantity(env)
     # bits_holographic is the ops_critical value itself
     ops_c = f.OPS_CRITICAL.quantity(env)
-    return CapacityReport(
-        ops_matter=ops,
-        ops_critical=ops_c,
-        ops_with_gravity=apply_gravity(ops, scenario.include_gravity),
-        bits_matter=f.MAX_BITS.quantity(env),
-        bits_holographic=ops_c,
-        blackbody_T=f.BLACKBODY_TEMPERATURE.quantity(env),
-        entropy_total=entropy,
-        matter_radiation_transition=scenario.matter_radiation_transition,
-        inflation=_inflation_bounds(env),
-        inflation_total_ops=(
-            None
-            if scenario.inflation_growth is None
-            else inflation_total_ops(scenario.inflation_growth)
-        ),
-        large_numbers=_identities(env),
+    growth = scenario.inflation_growth
+    return CapacityReport(  # by position, which skips Record._arguments
+        ops,
+        ops_c,
+        apply_gravity(ops, scenario.include_gravity),
+        f.MAX_BITS.quantity(env),
+        ops_c,
+        f.BLACKBODY_TEMPERATURE.quantity(env),
+        entropy,
+        scenario.matter_radiation_transition,
+        _inflation_bounds(env),
+        None if growth is None else inflation_total_ops(growth),
+        _identities(env),
     )

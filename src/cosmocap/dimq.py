@@ -205,29 +205,38 @@ class Record:
     """Base of the package's frozen records.
 
     A subclass names its fields in ``__slots__``, in order, and gives the
-    defaults of its optional fields in ``_defaults``.  Fields are taken by
-    position or by name, then ``_check`` validates them; it may fill a
-    derived default with ``object.__setattr__``, the only way to set a
-    field.  Records compare and hash by their field values, and pickle
-    and copy through their constructor, so a loaded record is checked
-    again.
+    defaults of its optional fields in ``_defaults``.  A record that also
+    keeps a value derived from its fields lists the fields alone in
+    ``_fields`` and the derived slots after them in ``__slots__``.
+    Fields are taken by position or by name, then ``_check`` validates
+    them; it may fill a derived default or a derived slot with
+    ``object.__setattr__``, the only way to set a slot.  Records compare
+    and hash by their field values, and pickle and copy through their
+    constructor, so a loaded record is checked again.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
     _defaults: dict[str, object] = {}
+    _setters: tuple = ()  # each field's slot setter, which __setattr__ does not reach
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls.__slots__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
     def __init__(self, *args: object, **kwargs: object) -> None:
-        names = type(self).__slots__
-        if kwargs or len(args) != len(names):
+        if kwargs or len(args) != len(self._fields):
             args = self._arguments(args, kwargs)
-        for name, value in zip(names, args):
-            object.__setattr__(self, name, value)
+        for setter, value in zip(self._setters, args):
+            setter(self, value)
         self._check()
 
     @classmethod
     def _arguments(cls, args: tuple, kwargs: dict[str, object]) -> tuple:
         """Every field's value, in order, from a call that left some out or named some."""
-        names = cls.__slots__
+        names = cls._fields
         if len(args) > len(names):
             raise TypeError(f"{cls.__name__}() takes {len(names)} arguments, got {len(args)}")
         given = dict(zip(names, args))
@@ -244,7 +253,7 @@ class Record:
         """Validate the fields; a subclass with rules overrides this."""
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
@@ -261,7 +270,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
@@ -372,9 +381,7 @@ class Quantity(Record):
 
 _new = Quantity.__new__  # the unchecked constructor: _new(Quantity, sign, log10, dimension)
 # the slots' own setters, which __setattr__ does not reach: faster than object.__setattr__
-_set_sign, _set_log10, _set_dimension = (
-    slot.__set__ for slot in (Quantity.sign, Quantity.log10, Quantity.dimension)
-)
+_set_sign, _set_log10, _set_dimension = Quantity._setters
 
 
 def zero(dimension: Dimension = DIMENSIONLESS) -> Quantity:

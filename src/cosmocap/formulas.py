@@ -12,6 +12,13 @@ checks that dimension once, when the row is built at import, against
 the public wrappers in ``constants``, ``cosmo``, ``bounds``, ``largenum``
 and ``baseline`` build one ``Quantity`` from the sum.
 
+A row of constants alone (the Planck scales, ħc/e², m_p/m_e, α and the
+anonymous products inside other rows) has one value per profile.  A
+``ConstantsProfile`` evaluates each such row once, when it is built,
+into its log10 table (``profile_table``), keyed by the row itself; a
+row that nests one reads its value from there instead of evaluating it
+again, which would give the same float.
+
 Terms are listed in the order the Quantity arithmetic they replace
 multiplied, with a nested row wherever a product is raised to a power,
 so every output keeps its last bit: IEEE ``a + (-b)`` equals ``a - b``
@@ -62,10 +69,13 @@ class Monomial:
 
     ``terms`` are ``(term, exponent)`` pairs, or a bare term for exponent
     1; a term is a symbol of ``REQUIRED_DIMS`` or ``INPUT_DIMS``, or
-    another ``Monomial``.  Exponents are ints or Fractions.
+    another ``Monomial``.  Exponents are ints or Fractions.  ``constant``
+    is true when every term is a constant or a row of constants alone; a
+    nested row of constants alone is read from ``env``, where
+    ``profile_table`` puts each of ``CONSTANT_ROWS``.
     """
 
-    __slots__ = ("dimension", "prefactor", "terms", "_start", "_steps")
+    __slots__ = ("dimension", "prefactor", "terms", "constant", "_start", "_steps")
 
     def __init__(self, dimension: Dimension, *terms, prefactor: float | None = None):
         self.dimension = dimension
@@ -77,32 +87,42 @@ class Monomial:
             found *= dim if exponent == 1 else dim**exponent
         if found != dimension:
             raise DimensionError("terms do not give the declared dimension", found, dimension)
+        self.constant = all(
+            t.constant if isinstance(t, Monomial) else t in REQUIRED_DIMS for t, _ in self.terms
+        )
         # None without a prefactor: the sum then starts at the first term itself
         self._start = None if prefactor is None else math.log10(prefactor)
+        # a nested row of constants alone is looked up in env, like a symbol
         self._steps = tuple(
-            (None, t, float(e)) if isinstance(t, Monomial) else (t, None, float(e))
+            (t, None, float(e)) if not isinstance(t, Monomial) or t.constant
+            else (None, t, float(e))
             for t, e in self.terms
         )
 
-    def log10(self, env: Mapping[str, float]) -> float:
-        """The row's log10 from each symbol's log10 in ``env``."""
+    def log10(self, env: Mapping[object, float]) -> float:
+        """The row's log10 from the log10 in ``env`` of each symbol and nested constant row."""
         total = self._start
         for symbol, row, exponent in self._steps:
             x = (env[symbol] if row is None else row.log10(env)) * exponent
             total = x if total is None else total + x
         return total
 
-    def quantity(self, env: Mapping[str, float]) -> Quantity:
+    def quantity(self, env: Mapping[object, float]) -> Quantity:
         """The row's positive value as a Quantity of its dimension."""
         return _new(Quantity, 1, self.log10(env), self.dimension)
 
 
-def environment(profile, **inputs: float) -> dict[str, float]:
-    """log10 of the profile's required constants and of ``inputs``, by symbol."""
-    constants = profile.constants
-    env = {cid: constants[cid].log10 for cid in REQUIRED_DIMS}
-    env.update(inputs)
-    return env
+def profile_table(constants: Mapping[str, Quantity]) -> dict[object, float]:
+    """log10 of each required constant, by symbol, and of each row of constants alone, by row."""
+    table: dict[object, float] = {cid: constants[cid].log10 for cid in REQUIRED_DIMS}
+    for row in CONSTANT_ROWS:  # each after the rows it nests
+        table[row] = row.log10(table)
+    return table
+
+
+def environment(profile, **inputs: float) -> dict[object, float]:
+    """The profile's log10 table, plus ``inputs`` by symbol."""
+    return {**profile._log10s, **inputs}
 
 
 _HALF, _QUARTER = Fraction(1, 2), Fraction(1, 4)
@@ -168,3 +188,19 @@ HOLOGRAPHIC_BITS = Monomial(DIMENSIONLESS, "A", (PLANCK_LENGTH, -2))
 # -- baseline ---------------------------------------------------------
 FLEET_OPS = Monomial(DIMENSIONLESS, "n_computers", "clock_rate", "ops_per_cycle", "duration")
 FLEET_BITS = Monomial(DIMENSIONLESS, "n_computers", "bits_per_computer")
+
+
+def _rows_within(row: Monomial):
+    """``row`` and every row nested in it, each after the rows it nests."""
+    for term, _ in row.terms:
+        if isinstance(term, Monomial):
+            yield from _rows_within(term)
+    yield row
+
+
+# every row of constants alone, named or nested, each after the rows it nests
+CONSTANT_ROWS = tuple(dict.fromkeys(
+    row
+    for top in list(globals().values()) if isinstance(top, Monomial)
+    for row in _rows_within(top) if row.constant
+))

@@ -63,10 +63,11 @@ def identities(
     return _identities(f.environment(profile, rho=rho.log10, t=t.log10))
 
 
-def _identities(env: dict[str, float]) -> LargeNumberReport:
-    a, b, g = f.ALPHA.log10(env), f.BETA.log10(env), f.GAMMA.log10(env)
+def _identities(env: dict[object, float]) -> LargeNumberReport:
+    # α, ħc/e² and m_p/m_e are rows of constants alone, read from the profile's table
+    a, b, g = env[f.ALPHA], f.BETA.log10(env), f.GAMMA.log10(env)
     # the conversion factor linking ops to βγ²: (ħc/e²)·(m_e/m_p) ≈ 137/1836
-    factor = f.FINE_STRUCTURE_INVERSE.log10(env) - f.MASS_RATIO.log10(env)
+    factor = env[f.FINE_STRUCTURE_INVERSE] - env[f.MASS_RATIO]
     r1 = a + b - g * 2.0
     r2 = b + g * 2.0 - (f.OPS_MATTER.log10(env) + factor)
     r3 = a + b * 2.0 - (f.OPS_CRITICAL.log10(env) + factor)

@@ -8,40 +8,84 @@ here as a count.
 import cProfile
 import pstats
 
-from cosmocap import dimq
-from cosmocap.cosmo import full_report, paper_scenario
-from cosmocap.dimq import Quantity
+from cosmocap import dimq, formulas
+from cosmocap.bounds import SystemSpec, system_limits
+from cosmocap.cosmo import (
+    Scenario,
+    Species,
+    SpeciesTable,
+    bits_radiation,
+    full_report,
+    ops_radiation,
+    paper_scenario,
+)
+from cosmocap.dimq import ENERGY, ENTROPY, LENGTH, TEMPERATURE, TIME, Quantity, zero
+
+
+def _profiled(run) -> cProfile.Profile:
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        run()
+    finally:
+        profiler.disable()
+    return profiler
 
 
 def _profiled_report(scenario=None) -> cProfile.Profile:
     """A profile of one full_report: of ``scenario``, or of paper_scenario() built inside."""
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        full_report(paper_scenario() if scenario is None else scenario)
-    finally:
-        profiler.disable()
-    return profiler
+    return _profiled(lambda: full_report(paper_scenario() if scenario is None else scenario))
 
 
 def _calls(profiler: cProfile.Profile, code) -> int:
     return sum(e.callcount for e in profiler.getstats() if e.code is code)
 
 
-# Fraction.__new__ calls in one paper report, the scenario's construction
-# included.  The formula table's exponents are floats fixed at import, so
-# only the species weight Σ n_eff builds any: 3 for photons alone.
-MAX_FRACTIONS_PER_REPORT = 5
-
-
-def test_full_report_builds_few_fractions():
-    stats = pstats.Stats(_profiled_report()).stats
-    fractions = sum(
+def _fractions(profiler: cProfile.Profile) -> int:
+    """Fraction.__new__ calls: every Fraction, however it is built."""
+    return sum(
         ncalls
-        for (path, _, name), (_, ncalls, *_) in stats.items()
+        for (path, _, name), (_, ncalls, *_) in pstats.Stats(profiler).stats.items()
         if name == "__new__" and path.replace("\\", "/").endswith("/fractions.py")
     )
-    assert 0 < fractions <= MAX_FRACTIONS_PER_REPORT
+
+
+# Fraction.__new__ calls in one paper report, the scenario's construction
+# included: none.  The formula table's exponents are floats fixed at
+# import, and the species weight Σ n_eff is an integer count of eighths
+# summed when its table is built.
+def test_full_report_builds_few_fractions():
+    assert _fractions(_profiled_report()) == 0
+
+
+def test_sweep_operation_builds_no_fraction():
+    # the benchmark's sweep operation on a 3-species table, every record built inside
+    def run():
+        species = SpeciesTable((
+            Species("photon", 2, 1, "boson"),
+            Species("nu", 2, 2, "fermion"),
+            Species("e", 2, 2, "fermion"),
+        ))
+        scenario = Scenario(paper_scenario().rho, paper_scenario().age, species=species)
+        full_report(scenario)
+        energy = Quantity(1, 70.0, ENERGY)
+        system_limits(SystemSpec(energy, Quantity(1, 90.0, ENTROPY), Quantity(1, 26.0, LENGTH)))
+        ops_radiation(energy, scenario.age, zero(TIME))
+        bits_radiation(energy, Quantity(1, 1.0, TEMPERATURE), species)
+
+    assert _fractions(_profiled(run)) == 0
+
+
+# Monomial.log10 calls, nested rows included, in one paper report: 25.
+# A row of constants alone is evaluated once per profile, when the
+# profile is built, so a report reads α, ħc/e², m_p/m_e and the Planck
+# scales from its environment (40 calls when each was evaluated again).
+MAX_ROW_EVALUATIONS_PER_REPORT = 30
+
+
+def test_full_report_evaluates_few_rows():
+    calls = _calls(_profiled_report(paper_scenario()), formulas.Monomial.log10.__code__)
+    assert 0 < calls <= MAX_ROW_EVALUATIONS_PER_REPORT
 
 
 # Quantity constructions in one full_report of a prebuilt paper scenario:

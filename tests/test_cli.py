@@ -1,19 +1,24 @@
 import argparse
+import contextlib
+import io
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosmocap import cli, cosmo
-from cosmocap.constants import PAPER, get
+from cosmocap.constants import PAPER, REQUIRED_DIMS, get
 from cosmocap.dimq import (
     MASS_DENSITY,
     RATE,
+    dimension_to_mapping,
     make,
     quantity_from_jsonable,
 )
@@ -415,6 +420,61 @@ def test_constants_beyond_double_print_as_powers(run_cli, tmp_path):
     code, out, err = run_cli(["constants", str(path)])
     assert (code, err) == (0, "")
     assert "  hbar*c/e2      10^608.47" in out
+
+
+def _main_exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+# magnitudes anywhere in double range, and now and then an unphysical 0
+_magnitudes = st.floats(-300.0, 340.0).map(lambda e: 10.0**e if e <= 300.0 else 0.0)
+_parity_profiles = st.fixed_dictionaries(
+    {cid: st.floats(-300.0, 300.0).map(lambda e: 10.0**e) for cid in REQUIRED_DIMS}
+)
+_parity_species = st.fixed_dictionaries({
+    "name": st.just("s"),
+    "polarizations": st.integers(1, int(sys.float_info.max)),
+    "particle_antiparticle": st.sampled_from([1, 2]),
+    "statistics": st.sampled_from(["boson", "fermion"]),
+})
+_parity_scenarios = st.fixed_dictionaries(
+    {"rho_kg_m3": _magnitudes, "age_years": _magnitudes},
+    optional={
+        "hubble_per_s": _magnitudes,
+        "include_gravity": st.booleans(),
+        "species": st.lists(_parity_species, min_size=1, max_size=3),
+        "inflation_growth_log10": st.fixed_dictionaries(
+            {"center": st.floats(-300.0, 300.0), "halfwidth": st.floats(0.0, 300.0)}
+        ),
+    },
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_parity_profiles, _parity_scenarios)
+def test_text_and_json_exit_alike_for_generated_inputs(constants, scenario):
+    """Any profile and scenario inside double range exit alike in text and --json."""
+    with tempfile.TemporaryDirectory() as tmp:
+        profile_path, scenario_path = Path(tmp, "profile.json"), Path(tmp, "scenario.json")
+        profile_path.write_text(json.dumps({
+            "name": "generated",
+            "constants": {
+                cid: {"value": v, "dims": dimension_to_mapping(REQUIRED_DIMS[cid])}
+                for cid, v in constants.items()
+            },
+        }), encoding="utf-8")
+        scenario_path.write_text(json.dumps(scenario), encoding="utf-8")
+        rho, years = repr(scenario["rho_kg_m3"]), repr(scenario["age_years"])
+        for argv in (
+            ["report", str(scenario_path)],
+            ["epoch", "matter", "--rho", rho, "--age-years", years],
+            ["large-numbers", "--rho", rho, "--age-years", years],
+            ["large-numbers", "--age-years", years],
+            ["constants"],
+        ):
+            argv = [*argv, "--profile", str(profile_path)]
+            assert _main_exit_code(argv) == _main_exit_code([*argv, "--json"]), argv
 
 
 _HUGE_SPECIES = {

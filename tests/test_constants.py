@@ -222,3 +222,24 @@ def test_load_profile_rejects_zero_denominator(tmp_path):
 def test_constants_profile_validates_directly():
     with pytest.raises(ValueError):
         ConstantsProfile("broken", {"hbar": make(1.0)})
+
+
+def test_profile_constants_are_read_only():
+    # a mass stored where the speed c belongs would silently change every
+    # later result, Planck time included
+    profiles = (PAPER, load_profile(str(DATA / "codata_profile.json")))
+    for profile in profiles:
+        before = planck_time(profile)
+        with pytest.raises(TypeError):
+            profile.constants["c"] = make(1.0, MASS)
+        with pytest.raises(TypeError):
+            del profile.constants["c"]
+        assert planck_time(profile) == before
+
+
+def test_profile_copies_the_mapping_it_is_given():
+    constants = dict(PAPER.constants)
+    profile = ConstantsProfile("copy", constants)
+    constants["c"] = make(1.0, MASS)
+    assert get(profile, "c") is get(PAPER, "c")
+    assert planck_time(profile) == planck_time(PAPER)

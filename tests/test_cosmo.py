@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -117,6 +118,34 @@ def test_species_table_total_and_empty():
         SpeciesTable(()).total_weight()
     with pytest.raises(TypeError):
         SpeciesTable((1, 2))
+
+
+# the number check's limit: polarizations up to ~1.8e308, so that Σ n_eff
+# runs far beyond double range
+_species = st.builds(
+    Species,
+    st.just("s"),
+    st.integers(min_value=1, max_value=int(sys.float_info.max)),
+    st.sampled_from((1, 2)),
+    st.sampled_from(("boson", "fermion")),
+)
+
+
+@given(st.lists(_species, max_size=8))
+def test_integer_weight_matches_the_fraction_sum(entries):
+    table = SpeciesTable(tuple(entries))
+    if not entries:
+        for call in (table.total_weight, table.log10_weight,
+                     lambda: d_factor(table),
+                     lambda: bits_radiation(make(1.0, ENERGY), make(1.0, TEMPERATURE), table)):
+            with pytest.raises(ValueError, match="empty"):
+                call()
+        return
+    weight = sum((s.weight for s in entries), Fraction(0))
+    assert table.total_weight() == weight
+    # bit for bit the log10 taken from the Fraction's own numerator and denominator
+    expected = math.log10(weight.numerator) - math.log10(weight.denominator)
+    assert repr(table.log10_weight()) == repr(expected)
 
 
 def test_d_factor_photons():

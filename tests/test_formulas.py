@@ -86,6 +86,27 @@ def test_a_reciprocal_row_never_yields_negative_zero():
     assert math.copysign(1.0, f.Monomial(RATE, ("t", -1)).log10({"t": 0.0})) == -1.0
 
 
+def _nested(row):
+    for term, _ in row.terms:
+        if isinstance(term, f.Monomial):
+            yield term
+            yield from _nested(term)
+
+
+def test_rows_of_constants_alone_are_each_profiles_to_evaluate():
+    named = {name for name, row in ROWS.items() if row.constant}
+    assert named == {"PLANCK_TIME", "PLANCK_LENGTH", "FINE_STRUCTURE_INVERSE", "MASS_RATIO",
+                     "GUT_THRESHOLD", "ALPHA"}
+    # every row of constants alone, named or nested in another row, is in
+    # CONSTANT_ROWS after the rows it nests, and so in every profile's table
+    nested = {row for top in ROWS.values() for row in _nested(top) if row.constant}
+    assert {ROWS[name] for name in named} | nested == set(f.CONSTANT_ROWS)
+    for i, row in enumerate(f.CONSTANT_ROWS):
+        assert set(_nested(row)) <= set(f.CONSTANT_ROWS[:i])
+    for profile in (PAPER, CODATA, load_profile(str(DATA / "domain_profile.json"))):
+        assert set(f.CONSTANT_ROWS) <= set(f.environment(profile))
+
+
 # ---------------------------------------------------------------- oracle
 
 mpmath.mp.dps = 50

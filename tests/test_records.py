@@ -87,7 +87,7 @@ BY_IDENTITY = (ConstantsProfile, Scenario)
 
 
 def _values(record):
-    return tuple(getattr(record, name) for name in type(record).__slots__)
+    return tuple(getattr(record, name) for name in type(record)._fields)
 
 
 def _same(a, b):
@@ -118,13 +118,13 @@ def test_record_is_frozen(record):
 def test_record_builds_by_position_and_by_name(record):
     cls, values = type(record), _values(record)
     _same(cls(*values), record)
-    _same(cls(**dict(zip(cls.__slots__, values))), record)
+    _same(cls(**dict(zip(cls._fields, values))), record)
     with pytest.raises(TypeError):
         cls()
     with pytest.raises(TypeError):
         cls(*values, None)
     with pytest.raises(TypeError):
-        cls(*values, **{cls.__slots__[0]: values[0]})
+        cls(*values, **{cls._fields[0]: values[0]})
     with pytest.raises(TypeError):
         cls(*values[:-1], unknown=None)
 
