@@ -54,6 +54,7 @@ from .dimq import (
     quantity_to_jsonable,
     read_fields,
     read_json_object,
+    require,
     scalar,
 )
 from .largenum import identities
@@ -409,6 +410,7 @@ def cmd_epoch_inflation(args: argparse.Namespace) -> Table:
 def cmd_large_numbers(args: argparse.Namespace) -> Table:
     profile = _profile_from_flag(args)
     age = _age_from_years(args.age_years, profile)
+    require(age, TIME, "age")  # before the default density divides by it
     if args.rho is not None:
         rho = make(args.rho, MASS_DENSITY)
     else:

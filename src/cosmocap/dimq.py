@@ -12,8 +12,13 @@ decades apart, at which point the larger one simply wins.
 Dimension exponents are exact rationals, kept as five integer numerators
 over one positive denominator in lowest terms, so that an entropy scaling
 like a 3/4 power survives round trips without drift and the arithmetic
-stays in integers.  A quantity with all exponents zero is dimensionless
-and converts back to an ordinary float when it fits in one.
+stays in integers.  Every dimension is built from integer ratios: the
+JSON decode reads each exponent as two ints, a rational power reads its
+exponent's ``as_integer_ratio`` once, and the ``[L^-1/2]`` text divides
+by a gcd, so none of them builds a ``Fraction``.  Only the axis
+properties, ``repr`` and pickling hand ``Fraction``s back to callers.
+A quantity with all exponents zero is dimensionless and converts back to
+an ordinary float when it fits in one.
 """
 
 from __future__ import annotations
@@ -79,6 +84,8 @@ _JSON_AXES = {
     "Theta": "temperature",
     "Q2": "charge2",
 }
+_SYMBOLS = ("L", "M", "T", "Θ", "Q2")
+_EXPONENT_TYPES = frozenset((int, Fraction))
 
 
 class Dimension:
@@ -93,7 +100,7 @@ class Dimension:
                 time: int | Fraction = 0, temperature: int | Fraction = 0,
                 charge2: int | Fraction = 0) -> "Dimension":
         exps = (length, mass, time, temperature, charge2)
-        if not {type(e) for e in exps} <= {int, Fraction}:  # isinstance on an ABC is slow
+        if not _EXPONENT_TYPES.issuperset(map(type, exps)):  # isinstance on an ABC is slow
             for name, exp in zip(_JSON_AXES.values(), exps):
                 _exponent(exp, f"{name} exponent")
         ratios = [e.as_integer_ratio() for e in exps]
@@ -140,26 +147,37 @@ class Dimension:
         return self._combine(other, -1)
 
     def __pow__(self, p: int | Fraction) -> "Dimension":
-        p = _exponent(p)
-        return _reduced(tuple(map(p.numerator.__mul__, self._num)), self._den * p.denominator)
+        return self._raised(*_exponent(p).as_integer_ratio())
+
+    def _raised(self, n: int, d: int) -> "Dimension":
+        """This dimension to the power n/d, d > 0."""
+        return _reduced(tuple([n * x for x in self._num]), self._den * d)
 
     def compact(self) -> str:
         """Render as e.g. ``[L^3 M^-1 T^-2]``; dimensionless is ``[1]``."""
-        axes = zip(("L", "M", "T", "Θ", "Q2"), self._num)
-        exps = [(symbol, Fraction(n, self._den)) for symbol, n in axes if n]
-        parts = [symbol if exp == 1 else f"{symbol}^{exp}" for symbol, exp in exps]
+        den, parts = self._den, []
+        for symbol, n in zip(_SYMBOLS, self._num):
+            if n == den:
+                parts.append(symbol)
+            elif n:  # n/den in lowest terms, as a Fraction prints it
+                g = math.gcd(n, den)
+                parts.append(f"{symbol}^{n // g}" if g == den else f"{symbol}^{n // g}/{den // g}")
         return "[" + " ".join(parts) + "]" if parts else "[1]"
 
     def __str__(self) -> str:
         return self.compact()
 
 
+# the slots' own setters, which __setattr__ does not reach: faster than object.__setattr__
+_set_num, _set_den = Dimension._num.__set__, Dimension._den.__set__
+
+
 def _reduced(num: tuple[int, ...], den: int) -> Dimension:
     """Every Dimension is built here: num/den (den > 0) in lowest terms."""
     g = 1 if den == 1 else math.gcd(den, *num)
     dim = object.__new__(Dimension)
-    object.__setattr__(dim, "_num", num if g == 1 else tuple(x // g for x in num))
-    object.__setattr__(dim, "_den", den // g)
+    _set_num(dim, num if g == 1 else tuple([x // g for x in num]))
+    _set_den(dim, den // g)
     return dim
 
 
@@ -183,22 +201,34 @@ def dimension_to_mapping(dim: Dimension) -> dict[str, list[int]]:
     return {key: [n // g, dim._den // g] for key, n, g in axes}
 
 
-def _axis_exponent(raw: object, what: str) -> Fraction:
+def _axis_ratio(raw: object, key: str) -> tuple[int, int]:
+    """A JSON ``[numerator, nonzero denominator]`` pair as two ints."""
+    if type(raw) is list and len(raw) == 2:  # what json.loads gives; the rest checked below
+        n, d = raw
+        if type(n) is int and type(d) is int and d:
+            return n, d
     if (
         not isinstance(raw, (list, tuple))
         or len(raw) != 2
         or not all(isinstance(n, int) and not isinstance(n, bool) for n in raw)
         or raw[1] == 0
     ):
-        raise InputError(f"{what} must be [numerator, nonzero denominator]")
-    return Fraction(raw[0], raw[1])
-
-
-_DIMS_FIELDS = {key: (_axis_exponent, 0) for key in _JSON_AXES}
+        raise InputError(f"dims key {key!r} must be [numerator, nonzero denominator]")
+    return int(raw[0]), int(raw[1])
 
 
 def dimension_from_mapping(data: object) -> Dimension:
-    return Dimension(*read_fields(data, "dims", _DIMS_FIELDS).values())
+    """A Dimension from its JSON form, {axis: [numerator, denominator]}.
+
+    The axes are ``L M T Theta Q2``; an absent axis is 0, and a present
+    null is refused like any other malformed pair.
+    """
+    if type(data) is not dict and not isinstance(data, Mapping):
+        raise InputError("dims must be an object")
+    reject_unknown(data, _JSON_AXES, "dims")
+    ratios = [_axis_ratio(data[key], key) if key in data else (0, 1) for key in _JSON_AXES]
+    den = math.lcm(*[d for _, d in ratios])  # positive; den // d also fixes a negative d's sign
+    return _reduced(tuple([n * (den // d) for n, d in ratios]), den)
 
 
 class Record:
@@ -237,6 +267,13 @@ class Record:
     def _arguments(cls, args: tuple, kwargs: dict[str, object]) -> tuple:
         """Every field's value, in order, from a call that left some out or named some."""
         names = cls._fields
+        if not args:  # by name alone, as most callers build a record
+            values = {**cls._defaults, **kwargs}
+            if len(values) == len(names):
+                try:
+                    return tuple([values[name] for name in names])
+                except KeyError:
+                    pass  # an unknown name took a missing field's place; named below
         if len(args) > len(names):
             raise TypeError(f"{cls.__name__}() takes {len(names)} arguments, got {len(args)}")
         given = dict(zip(names, args))
@@ -412,21 +449,22 @@ def div(a: Quantity, b: Quantity) -> Quantity:
 
 
 def pow_rational(a: Quantity, p: int | Fraction) -> Quantity:
-    p = _exponent(p)
-    dim = a.dimension**p
+    n, d = _exponent(p).as_integer_ratio()
+    dim = a.dimension._raised(n, d)
     if a.sign == 0:
-        if p <= 0:
+        if n <= 0:
             raise ValueError(f"cannot raise exact zero to power {p}")
         return zero(dim)
     if a.sign < 0:
-        if p.denominator % 2 == 0:
+        if d % 2 == 0:
             raise ValueError(
                 f"negative quantity has no real power for exponent {p}"
             )
-        sign = -1 if p.numerator % 2 else 1
+        sign = -1 if n % 2 else 1
     else:
         sign = 1
-    return _new(Quantity, sign, a.log10 * float(p), dim)
+    # n / d is float(p) to the bit: a Rational's float is its integers' true division
+    return _new(Quantity, sign, a.log10 * (n / d), dim)
 
 
 def add(a: Quantity, b: Quantity) -> Quantity:

@@ -7,6 +7,7 @@ here as a count.
 
 import cProfile
 import pstats
+from fractions import Fraction
 
 from cosmocap import dimq, formulas
 from cosmocap.bounds import SystemSpec, system_limits
@@ -19,7 +20,7 @@ from cosmocap.cosmo import (
     ops_radiation,
     paper_scenario,
 )
-from cosmocap.dimq import ENERGY, ENTROPY, LENGTH, TEMPERATURE, TIME, Quantity, zero
+from cosmocap.dimq import ENERGY, ENTROPY, LENGTH, TEMPERATURE, TIME, Dimension, Quantity, zero
 
 
 def _profiled(run) -> cProfile.Profile:
@@ -104,3 +105,28 @@ def test_full_report_builds_no_dimension():
     # every Dimension is built by dimq._reduced; the table fixed each
     # row's dimension at import, so a report builds none
     assert _calls(_profiled_report(paper_scenario()), dimq._reduced.__code__) == 0
+
+
+def test_algebra_chain_builds_no_fraction():
+    # the benchmark's algebra operation: a leaf from the caller's Fractions,
+    # mul, div, a Fraction power, add, a mismatched add, then a JSON round trip
+    exps = {"length": Fraction(3, 4), "mass": Fraction(-1, 2), "time": Fraction(5, 6),
+            "temperature": Fraction(-7, 3), "charge2": Fraction(1, 12)}
+    other = Dimension(1, Fraction(1, 3), -2, 0, Fraction(-5, 4))
+    p = Fraction(-3, 5)
+
+    def run():
+        x = Quantity(1, 12.5, Dimension(**exps))
+        x = dimq.mul(x, Quantity(-1, 3.0, other))
+        x = dimq.div(x, Quantity(1, -7.25, LENGTH))
+        x = dimq.pow_rational(x, p)
+        x = dimq.add(x, Quantity(1, x.log10 - 1.0, x.dimension))
+        try:
+            dimq.add(x, Quantity(1, 0.0, other))
+        except dimq.DimensionError:
+            pass
+        else:
+            raise AssertionError("mismatched add did not raise")
+        assert dimq.quantity_from_jsonable(dimq.quantity_to_jsonable(x)) == x
+
+    assert _fractions(_profiled(run)) == 0

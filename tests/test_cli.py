@@ -798,6 +798,18 @@ def test_large_numbers_json(run_cli):
     assert quantity_from_jsonable(doc["gamma"]).log10 == expected.gamma.log10
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("rho", [[], ["--rho", "1e-27"]], ids=["critical", "rho"])
+@pytest.mark.parametrize("years", ["0", "-1"])
+def test_large_numbers_refuses_a_nonpositive_age_by_name(run_cli, years, rho, flags):
+    # the age is checked before the default critical density divides by it,
+    # so the message names the age, as epoch matter's does
+    code, out, err = run_cli(["large-numbers", "--age-years", years, *rho, *flags])
+    assert (code, out, err) == (3, "", "error: age must be > 0\n")
+    code, _, err = run_cli(["epoch", "matter", "--rho", "1e-27", "--age-years", years, *flags])
+    assert (code, err) == (3, "error: age must be > 0\n")
+
+
 # --- constants ---
 
 

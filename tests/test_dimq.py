@@ -203,14 +203,84 @@ def test_dimension_mapping_round_trip():
 
 
 def test_dimension_mapping_rejects_junk():
-    with pytest.raises(ValueError):
-        dimension_from_mapping({"X": [1, 1]})
-    with pytest.raises(ValueError):
-        dimension_from_mapping({"L": [1]})
-    with pytest.raises(ValueError):
-        dimension_from_mapping({"L": [1.0, 1]})
-    with pytest.raises(InputError, match="nonzero denominator"):
-        dimension_from_mapping({"L": [1, 0]})
+    # every malformed [numerator, denominator] pair, a present null among them
+    malformed = [[True, 1], [1, False], [1.0, 2], [1, 2.0], [1, 2, 3], [1], [1, 0], (1, 0),
+                 None, "1/2", {"n": 1, "d": 2}]
+    for pair in malformed:
+        with pytest.raises(InputError) as info:
+            dimension_from_mapping({"M": [1, 1], "Theta": pair})
+        assert str(info.value) == "dims key 'Theta' must be [numerator, nonzero denominator]"
+    for data in ([["L", [1, 1]]], None, "L"):
+        with pytest.raises(InputError) as info:
+            dimension_from_mapping(data)
+        assert str(info.value) == "dims must be an object"
+    with pytest.raises(InputError) as info:
+        dimension_from_mapping({"L": [1, 1], "theta": None, "X": [1, 1]})
+    assert str(info.value) == "unknown dims key: 'X'"
+
+
+class _Int(int):
+    pass
+
+
+def test_dimension_mapping_takes_tuples_and_int_subclasses():
+    expected = Dimension(length=Fraction(-3, 4), time=Fraction(5, 6))
+    assert dimension_from_mapping({"L": (3, -4), "T": [_Int(5), _Int(6)]}) == expected
+    assert dimension_from_mapping({"L": [-3, 4], "T": (10, 12)}) == expected
+
+
+# any subset of the axes, each [n, d] with n and d up to 2**80 and d of either sign
+JSON_AXES = dict(zip(("L", "M", "T", "Theta", "Q2"), AXES))
+big = st.integers(min_value=-2**80, max_value=2**80)
+pairs = st.tuples(big, big.filter(bool))
+mappings = st.dictionaries(st.sampled_from(list(JSON_AXES)), pairs)
+
+
+def fraction_text(dim):
+    """compact() as it read when each exponent was a Fraction."""
+    symbols = dict(zip(AXES, ("L", "M", "T", "Θ", "Q2")))
+    exps = [(symbols[name], getattr(dim, name)) for name in AXES if getattr(dim, name)]
+    parts = [symbol if exp == 1 else f"{symbol}^{exp}" for symbol, exp in exps]
+    return "[" + " ".join(parts) + "]" if parts else "[1]"
+
+
+@given(mappings)
+def test_dimension_mapping_matches_fractions(data):
+    dim = dimension_from_mapping({key: list(pair) for key, pair in data.items()})
+    assert dim == Dimension(**{JSON_AXES[key]: Fraction(n, d) for key, (n, d) in data.items()})
+    exps = {key: getattr(dim, JSON_AXES[key]) for key in JSON_AXES}
+    assert dimension_to_mapping(dim) == {
+        key: [exp.numerator, exp.denominator] for key, exp in exps.items() if exp
+    }
+    assert dimension_from_mapping(dimension_to_mapping(dim)) == dim
+    assert dim.compact() == fraction_text(dim)
+
+
+@given(mappings, logs, st.one_of(st.builds(Fraction, big, big.filter(bool)), big),
+       st.sampled_from([1, 0, -1]))
+def test_pow_rational_scales_the_log_by_float_p(data, log10, p, sign):
+    dim = dimension_from_mapping({key: list(pair) for key, pair in data.items()})
+    p_ratio = Fraction(p)
+    a = Quantity(sign, log10, dim)
+    if (sign == 0 and p_ratio <= 0) or (sign < 0 and p_ratio.denominator % 2 == 0):
+        with pytest.raises(ValueError):
+            pow_rational(a, p)
+        return
+    r = pow_rational(a, p)
+    assert r.dimension == dim**p == Dimension(*[e * p_ratio for e in axes(dim)])
+    assert r.dimension.compact() == fraction_text(r.dimension)
+    if sign == 0:
+        assert r.is_zero
+    else:
+        assert repr(r.log10) == repr(log10 * float(p))
+        assert r.sign == (-1 if sign < 0 and p_ratio.numerator % 2 else 1)
+
+
+def test_pow_rational_too_large_for_a_float_overflows():
+    with pytest.raises(OverflowError):
+        pow_rational(q(1.0), 10**400)
+    with pytest.raises(OverflowError):
+        pow_rational(q(1.0), Fraction(10**400, 3))
 
 
 def test_read_fields_applies_one_table():

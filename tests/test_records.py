@@ -138,6 +138,26 @@ def test_missing_required_field_is_named():
         Quantity(1)
 
 
+def test_misuse_messages_are_exact():
+    e, s, r = make(1.0, ENERGY), make(1.0, ENTROPY), make(1.0, LENGTH)
+    cases = [
+        (lambda: SystemSpec(e, s, r, None, None), "SystemSpec() takes 4 arguments, got 5"),
+        (lambda: SystemSpec(energy=e, entropy=s, radius=r, volume=None),
+         "SystemSpec() got an unexpected or repeated argument 'volume'"),
+        # an unknown name the same number of fields long as a complete call
+        (lambda: SystemSpec(energy=e, entropy=s, volume=r),
+         "SystemSpec() got an unexpected or repeated argument 'volume'"),
+        (lambda: SystemSpec(e, s, r, energy=e), "SystemSpec() got an unexpected or repeated argument 'energy'"),
+        (lambda: SystemSpec(energy=e, entropy=s), "SystemSpec() missing required argument: 'radius'"),
+        (lambda: SystemSpec(entropy=s, radius=r, area=None),
+         "SystemSpec() missing required argument: 'energy'"),
+    ]
+    for build, message in cases:
+        with pytest.raises(TypeError) as info:
+            build()
+        assert str(info.value) == message
+
+
 def test_defaults_apply():
     assert Quantity(1, 2.0).dimension == DIMENSIONLESS
     spec = SystemSpec(make(1.0, ENERGY), make(1.0, ENTROPY), make(1.0, LENGTH))
