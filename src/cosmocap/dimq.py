@@ -201,20 +201,20 @@ def dimension_to_mapping(dim: Dimension) -> dict[str, list[int]]:
     return {key: [n // g, dim._den // g] for key, n, g in axes}
 
 
-def _axis_ratio(raw: object, key: str) -> tuple[int, int]:
+def _axis_ratio(raw: object, what: str) -> tuple[int, int]:
     """A JSON ``[numerator, nonzero denominator]`` pair as two ints."""
-    if type(raw) is list and len(raw) == 2:  # what json.loads gives; the rest checked below
+    if isinstance(raw, (list, tuple)) and len(raw) == 2:
         n, d = raw
-        if type(n) is int and type(d) is int and d:
-            return n, d
-    if (
-        not isinstance(raw, (list, tuple))
-        or len(raw) != 2
-        or not all(isinstance(n, int) and not isinstance(n, bool) for n in raw)
-        or raw[1] == 0
-    ):
-        raise InputError(f"dims key {key!r} must be [numerator, nonzero denominator]")
-    return int(raw[0]), int(raw[1])
+        if (
+            isinstance(n, int) and not isinstance(n, bool)
+            and isinstance(d, int) and not isinstance(d, bool)
+            and d != 0
+        ):
+            return int(n), int(d)
+    raise InputError(f"{what} must be [numerator, nonzero denominator]")
+
+
+_DIMS_FIELDS = {key: (_axis_ratio, (0, 1)) for key in _JSON_AXES}
 
 
 def dimension_from_mapping(data: object) -> Dimension:
@@ -223,10 +223,7 @@ def dimension_from_mapping(data: object) -> Dimension:
     The axes are ``L M T Theta Q2``; an absent axis is 0, and a present
     null is refused like any other malformed pair.
     """
-    if type(data) is not dict and not isinstance(data, Mapping):
-        raise InputError("dims must be an object")
-    reject_unknown(data, _JSON_AXES, "dims")
-    ratios = [_axis_ratio(data[key], key) if key in data else (0, 1) for key in _JSON_AXES]
+    ratios = read_fields(data, "dims", _DIMS_FIELDS).values()
     den = math.lcm(*[d for _, d in ratios])  # positive; den // d also fixes a negative d's sign
     return _reduced(tuple([n * (den // d) for n, d in ratios]), den)
 
@@ -267,13 +264,6 @@ class Record:
     def _arguments(cls, args: tuple, kwargs: dict[str, object]) -> tuple:
         """Every field's value, in order, from a call that left some out or named some."""
         names = cls._fields
-        if not args:  # by name alone, as most callers build a record
-            values = {**cls._defaults, **kwargs}
-            if len(values) == len(names):
-                try:
-                    return tuple([values[name] for name in names])
-                except KeyError:
-                    pass  # an unknown name took a missing field's place; named below
         if len(args) > len(names):
             raise TypeError(f"{cls.__name__}() takes {len(names)} arguments, got {len(args)}")
         given = dict(zip(names, args))
