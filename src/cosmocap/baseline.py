@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from . import formulas as f
 from .dimq import (
-    DIMENSIONLESS,
     RATE,
     TIME,
     Quantity,
@@ -30,12 +29,9 @@ class FleetSpec(Record):
     __slots__ = ("n_computers", "clock_rate", "ops_per_cycle", "duration", "bits_per_computer")
 
     def _check(self) -> None:
-        # an empty fleet is legal and computes nothing
-        require(self.n_computers, DIMENSIONLESS, "n_computers", allow_zero=True)
-        require(self.clock_rate, RATE, "clock_rate")
-        require(self.ops_per_cycle, DIMENSIONLESS, "ops_per_cycle")
-        require(self.duration, TIME, "duration")
-        require(self.bits_per_computer, DIMENSIONLESS, "bits_per_computer")
+        # each field is the row symbol of its name
+        for name in self.__slots__:  # an empty fleet is legal and computes nothing
+            require(getattr(self, name), f.INPUT_DIMS[name], name, allow_zero=name == "n_computers")
 
     @staticmethod
     def from_counts(

@@ -55,15 +55,13 @@ _BEKENSTEIN_THRESHOLD_LOG10 = math.log10((1.0 - 1e-9) / (2.0 * math.pi))
 
 def max_ops_per_sec(energy: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
     """2E/(pi hbar): the fastest any state of mean energy E can evolve."""
-    require(energy, ENERGY, "energy")
-    return f.MAX_OPS_PER_SEC.quantity(f.environment(profile, E=energy.log10))
+    return f.MAX_OPS_PER_SEC.quantity(f.environment(profile, energy=energy))
 
 
 def min_flip_time(energy: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
     """pi hbar/(2E), the exact reciprocal of max_ops_per_sec."""
     # computed as 1/rate so the product is 1 to the last bit
-    require(energy, ENERGY, "energy")
-    return f.MIN_FLIP_TIME.quantity(f.environment(profile, E=energy.log10))
+    return f.MIN_FLIP_TIME.quantity(f.environment(profile, energy=energy))
 
 
 def max_bits(entropy: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
@@ -71,7 +69,7 @@ def max_bits(entropy: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
     require(entropy, ENTROPY, "entropy", allow_zero=True)
     if entropy.sign == 0:
         return zero(f.MAX_BITS.dimension)
-    return f.MAX_BITS.quantity(f.environment(profile, S=entropy.log10))
+    return f.MAX_BITS.quantity({**profile._log10s, "S": entropy.log10})
 
 
 def max_io_rate(
@@ -84,10 +82,11 @@ def max_io_rate(
     divide by ln 2 themselves.
     """
     require(entropy, ENTROPY, "entropy", allow_zero=True)
-    require(radius, LENGTH, "radius")
+    env = f.environment(profile, radius=radius)
     if entropy.sign == 0:
         return zero(f.MAX_IO_RATE.dimension)
-    return f.MAX_IO_RATE.quantity(f.environment(profile, S=entropy.log10, R=radius.log10))
+    env["S"] = entropy.log10
+    return f.MAX_IO_RATE.quantity(env)
 
 
 class BekensteinResult(Record):
@@ -106,10 +105,7 @@ def bekenstein_ratio(
     Equality at 1/(2 pi) is the black-hole case and is not flagged; the
     flag trips only below (1/(2 pi)) x (1 - 1e-9).
     """
-    require(energy, ENERGY, "energy")
-    require(radius, LENGTH, "radius")
-    require(entropy, ENTROPY, "entropy")
-    return _bekenstein(f.environment(profile, E=energy.log10, R=radius.log10, S=entropy.log10))
+    return _bekenstein(f.environment(profile, energy=energy, radius=radius, entropy=entropy))
 
 
 def _bekenstein(env: dict[object, float]) -> BekensteinResult:
@@ -119,8 +115,7 @@ def _bekenstein(env: dict[object, float]) -> BekensteinResult:
 
 def holographic_bits(area: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
     """area/l_P^2, the surface-area cap on distinguishable bits."""
-    require(area, AREA, "area")
-    return f.HOLOGRAPHIC_BITS.quantity(f.environment(profile, A=area.log10))
+    return f.HOLOGRAPHIC_BITS.quantity(f.environment(profile, area=area))
 
 
 class SystemSpec(Record):
@@ -153,7 +148,9 @@ def system_limits(spec: SystemSpec, profile: ConstantsProfile = PAPER) -> System
     radius = spec.radius.log10
     # the effective area's log10 without building R², as R**2 would give it
     area = radius * 2.0 if spec.area is None else spec.area.log10
-    env = f.environment(profile, E=spec.energy.log10, S=spec.entropy.log10, R=radius, A=area)
+    # the spec's fields were checked when it was built
+    env = {**profile._log10s, "E": spec.energy.log10, "S": spec.entropy.log10,
+           "R": radius, "A": area}
     return SystemLimits(  # by position, which skips Record._arguments
         f.MAX_OPS_PER_SEC.quantity(env),
         f.MIN_FLIP_TIME.quantity(env),

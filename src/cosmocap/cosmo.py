@@ -20,8 +20,9 @@ growth band are tracked as a log-space interval.
 
 Density ρ is mass density (kg/m³) throughout; energy density is always
 written ρc².  Each formula here is a row of the table in ``formulas``;
-the functions check their inputs and evaluate that row, and
-``full_report`` evaluates all of its rows on one set of log10 inputs.
+the functions have ``formulas.environment`` check their inputs against
+``formulas.INPUT_DIMS`` and evaluate that row, and ``full_report``
+evaluates all of its rows on one set of log10 inputs.
 """
 
 from __future__ import annotations
@@ -34,12 +35,9 @@ from .bounds import max_bits
 from .constants import PAPER, ConstantsProfile, get
 from .dimq import (
     DIMENSIONLESS,
-    ENERGY,
     MASS_DENSITY,
     RATE,
-    TEMPERATURE,
     TIME,
-    VOLUME,
     InputError,
     LogInterval,
     Quantity,
@@ -177,30 +175,26 @@ def critical_density(
     With H = 1/t the approx mode is the familiar 1/(Gt²); the two modes
     differ by exactly 3/8π ≈ 0.119.
     """
-    require(hubble, RATE, "hubble")
+    env = f.environment(profile, hubble=hubble)
     if mode not in ("exact", "approx"):
         raise ValueError(f"mode must be 'exact' or 'approx', got {mode!r}")
     row = f.CRITICAL_DENSITY if mode == "exact" else f.CRITICAL_DENSITY_APPROX
-    return row.quantity(f.environment(profile, H=hubble.log10))
+    return row.quantity(env)
 
 
 def horizon_volume(age: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
     """c³t³, the causally connected volume at age t."""
-    require(age, TIME, "age")
-    return f.HORIZON_VOLUME.quantity(f.environment(profile, t=age.log10))
+    return f.HORIZON_VOLUME.quantity(f.environment(profile, age=age))
 
 
 def ops_matter(rho: Quantity, age: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
     """ρc⁵t⁴/ħ: total ops the horizon's energy supports by age t."""
-    require(rho, MASS_DENSITY, "rho")
-    require(age, TIME, "age")
-    return f.OPS_MATTER.quantity(f.environment(profile, rho=rho.log10, t=age.log10))
+    return f.OPS_MATTER.quantity(f.environment(profile, rho=rho, age=age))
 
 
 def ops_critical(age: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
     """(t/t_P)²: the matter-epoch count at critical density 1/(Gt²)."""
-    require(age, TIME, "age")
-    return f.OPS_CRITICAL.quantity(f.environment(profile, t=age.log10))
+    return f.OPS_CRITICAL.quantity(f.environment(profile, age=age))
 
 
 def apply_gravity(ops: Quantity, include: bool) -> Quantity:
@@ -225,8 +219,8 @@ def blackbody_temperature(
     entirely to relativistic particles, i.e. the maximum-entropy state.
     About 18 K for today's ~1e-27 kg/m³ with photons alone.
     """
-    require(rho, MASS_DENSITY, "rho")
-    env = f.environment(profile, rho=rho.log10, weight=species.log10_weight())
+    env = f.environment(profile, rho=rho)
+    env["weight"] = species.log10_weight()
     return f.BLACKBODY_TEMPERATURE.quantity(env)
 
 
@@ -234,9 +228,7 @@ def entropy_density(
     rho: Quantity, temperature: Quantity, profile: ConstantsProfile = PAPER
 ) -> Quantity:
     """S/V = 4ρc²/(3T) for radiation at temperature T."""
-    require(rho, MASS_DENSITY, "rho")
-    require(temperature, TEMPERATURE, "temperature")
-    return f.ENTROPY_DENSITY.quantity(f.environment(profile, rho=rho.log10, T=temperature.log10))
+    return f.ENTROPY_DENSITY.quantity(f.environment(profile, rho=rho, temperature=temperature))
 
 
 def entropy_in_volume(
@@ -251,9 +243,8 @@ def entropy_in_volume(
     blackbody temperature times V.  Reports use this form; entropy_density
     is the public per-volume form and nothing in the package calls it.
     """
-    require(rho, MASS_DENSITY, "rho")
-    require(volume, VOLUME, "volume")
-    env = f.environment(profile, rho=rho.log10, V=volume.log10, weight=species.log10_weight())
+    env = f.environment(profile, rho=rho, volume=volume)
+    env["weight"] = species.log10_weight()
     return f.ENTROPY_IN_VOLUME.quantity(env)
 
 
@@ -280,12 +271,10 @@ def bits_holographic(age: Quantity, profile: ConstantsProfile = PAPER) -> Quanti
 
 def radiation_energy_at(e1: Quantity, t1: Quantity, t0: Quantity) -> Quantity:
     """Energy at earlier time t0 given E1 at t1: E1·(t1/t0)^{1/2}."""
-    require(e1, ENERGY, "e1")
-    require(t1, TIME, "t1")
-    require(t0, TIME, "t0")
+    env = f.environment(None, e1=e1, t1=t1, t0=t0)
     if t0.log10 > t1.log10:
         raise ValueError("t0 must not exceed t1")
-    return f.RADIATION_ENERGY_AT.quantity({"E": e1.log10, "t": t1.log10, "t0": t0.log10})
+    return f.RADIATION_ENERGY_AT.quantity(env)
 
 
 def ops_radiation(
@@ -296,8 +285,7 @@ def ops_radiation(
     Finite even from t0 = 0, where it is exactly twice the fixed-energy
     count (2E1/πħ)·t1.  Zero at t0 = t1 by exact cancellation.
     """
-    require(e1, ENERGY, "e1")
-    require(t1, TIME, "t1")
+    env = f.environment(profile, e1=e1, t1=t1)
     require(t0, TIME, "t0", allow_zero=True)
     if t0.sign > 0 and t0.log10 > t1.log10:
         raise ValueError("t0 must not exceed t1")
@@ -308,7 +296,7 @@ def ops_radiation(
     tail = -math.expm1(0.5 * _LN10 * gap)
     if tail == 0:
         return zero(DIMENSIONLESS)
-    env = f.environment(profile, E=e1.log10, t=t1.log10, tail=math.log10(tail))
+    env["tail"] = math.log10(tail)
     return f.OPS_RADIATION.quantity(env)
 
 
@@ -330,10 +318,8 @@ def bits_radiation(
     unification threshold means any such table is guesswork, which the
     returned marker flags.
     """
-    require(energy, ENERGY, "energy")
-    require(temperature, TEMPERATURE, "temperature")
+    env = f.environment(profile, energy=energy, temperature=temperature)
     species._weight_eighths()  # reject an empty bath up front
-    env = f.environment(profile, E=energy.log10, T=temperature.log10)
     above = f.THERMAL_ENERGY.log10(env) > env[f.GUT_THRESHOLD]  # a row of constants alone
     return RadiationBits(f.BITS_RADIATION.quantity(env), above)
 
@@ -349,8 +335,7 @@ def inflation_bounds(hubble: Quantity, profile: ConstantsProfile = PAPER) -> Inf
     ops_per_hubble_time = ops_per_sec/H.
     bits_horizon = (c/H)²/ℓ_P², which is 8π/3 × ops_per_hubble_time.
     """
-    require(hubble, RATE, "hubble")
-    return _inflation_bounds(f.environment(profile, H=hubble.log10))
+    return _inflation_bounds(f.environment(profile, hubble=hubble))
 
 
 def _inflation_bounds(env: dict[object, float]) -> InflationBounds:
@@ -415,13 +400,14 @@ def full_report(scenario: Scenario) -> CapacityReport:
     (bitwise) outputs.  Every value comes from one table row evaluated
     on one log10 environment, the same rows the public functions use.
     """
-    env = f.environment(
-        scenario.profile,
-        rho=scenario.rho.log10,
-        t=scenario.age.log10,
-        H=scenario.hubble.log10,
-        weight=scenario.species.log10_weight(),
-    )
+    # the scenario's fields were checked when it was built
+    env = {
+        **scenario.profile._log10s,
+        "rho": scenario.rho.log10,
+        "t": scenario.age.log10,
+        "H": scenario.hubble.log10,
+        "weight": scenario.species.log10_weight(),
+    }
     env["V"] = f.HORIZON_VOLUME.log10(env)
     entropy = f.ENTROPY_IN_VOLUME.quantity(env)
     env["S"] = entropy.log10

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Collection, Iterable, Mapping
 from fractions import Fraction
 
 __all__ = [
@@ -103,9 +103,7 @@ class Dimension:
         if not _EXPONENT_TYPES.issuperset(map(type, exps)):  # isinstance on an ABC is slow
             for name, exp in zip(_JSON_AXES.values(), exps):
                 _exponent(exp, f"{name} exponent")
-        ratios = [e.as_integer_ratio() for e in exps]
-        den = math.lcm(*[d for _, d in ratios])
-        return _reduced(tuple([n * (den // d) for n, d in ratios]), den)
+        return _from_ratios([e.as_integer_ratio() for e in exps])
 
     length, mass, time, temperature, charge2 = (
         property(lambda self, i=i: Fraction(self._num[i], self._den)) for i in range(5)
@@ -181,6 +179,12 @@ def _reduced(num: tuple[int, ...], den: int) -> Dimension:
     return dim
 
 
+def _from_ratios(ratios: Collection[tuple[int, int]]) -> Dimension:
+    """The Dimension of one (numerator, nonzero denominator) pair per axis."""
+    den = math.lcm(*[d for _, d in ratios])  # positive; den // d also fixes a negative d's sign
+    return _reduced(tuple([n * (den // d) for n, d in ratios]), den)
+
+
 DIMENSIONLESS = Dimension()
 LENGTH = Dimension(length=1)
 MASS = Dimension(mass=1)
@@ -223,9 +227,7 @@ def dimension_from_mapping(data: object) -> Dimension:
     The axes are ``L M T Theta Q2``; an absent axis is 0, and a present
     null is refused like any other malformed pair.
     """
-    ratios = read_fields(data, "dims", _DIMS_FIELDS).values()
-    den = math.lcm(*[d for _, d in ratios])  # positive; den // d also fixes a negative d's sign
-    return _reduced(tuple([n * (den // d) for n, d in ratios]), den)
+    return _from_ratios(read_fields(data, "dims", _DIMS_FIELDS).values())
 
 
 class Record:
@@ -584,7 +586,9 @@ def read_json_object(path: str, what: str) -> dict[str, object]:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh, parse_float=lambda text: parse_float(text, path))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except InputError:  # parse_float's own refusal, already worded
+            raise
+        except ValueError as exc:  # bad syntax or encoding, or an int literal past the digit limit
             raise InputError(f"malformed JSON in {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError(f"{what} must hold a JSON object")

@@ -10,7 +10,9 @@ log10, and its dimension is fixed by the terms alone.  A ``Monomial``
 checks that dimension once, when the row is built at import, against
 ``REQUIRED_DIMS`` and ``INPUT_DIMS``; a call then adds plain floats and
 the public wrappers in ``constants``, ``cosmo``, ``bounds``, ``largenum``
-and ``baseline`` build one ``Quantity`` from the sum.
+and ``baseline`` build one ``Quantity`` from the sum.  A wrapper passes its
+inputs to ``environment`` by parameter name, which checks them against
+``INPUT_DIMS``.
 
 A row of constants alone (the Planck scales, ħc/e², m_p/m_e, α and the
 anonymous products inside other rows) has one value per profile.  A
@@ -34,7 +36,7 @@ from fractions import Fraction
 
 from .dimq import (
     AREA, DIMENSIONLESS, ENERGY, ENTROPY, LENGTH, MASS, MASS_DENSITY, RATE, TEMPERATURE, TIME,
-    VOLUME, Dimension, DimensionError, Quantity, _new,
+    VOLUME, Dimension, DimensionError, Quantity, _new, require,
 )
 
 # dimension each registered constant must carry
@@ -62,6 +64,12 @@ INPUT_DIMS: dict[str, Dimension] = {
 }
 
 _SYMBOL_DIMS = {**REQUIRED_DIMS, **INPUT_DIMS}
+
+# the symbol each public parameter name fills when passed to environment
+PARAMETER_SYMBOLS: dict[str, str] = {
+    "rho": "rho", "age": "t", "t": "t", "t1": "t", "t0": "t0", "hubble": "H", "energy": "E",
+    "e1": "E", "entropy": "S", "radius": "R", "area": "A", "temperature": "T", "volume": "V",
+}
 
 
 class Monomial:
@@ -120,9 +128,18 @@ def profile_table(constants: Mapping[str, Quantity]) -> dict[object, float]:
     return table
 
 
-def environment(profile, **inputs: float) -> dict[object, float]:
-    """The profile's log10 table, plus ``inputs`` by symbol."""
-    return {**profile._log10s, **inputs}
+def environment(profile, **inputs: Quantity) -> dict[object, float]:
+    """The profile's log10 table (none for ``profile`` None), plus each input's log10 by symbol.
+
+    ``inputs`` are quantities by parameter name, each checked in order for its
+    symbol's ``INPUT_DIMS`` dimension and a value > 0; a refusal names the parameter.
+    """
+    env = {} if profile is None else dict(profile._log10s)
+    for name, q in inputs.items():
+        symbol = PARAMETER_SYMBOLS[name]
+        require(q, INPUT_DIMS[symbol], name)
+        env[symbol] = q.log10
+    return env
 
 
 _HALF, _QUARTER = Fraction(1, 2), Fraction(1, 4)

@@ -23,27 +23,24 @@ from __future__ import annotations
 
 from . import formulas as f
 from .constants import PAPER, ConstantsProfile
-from .dimq import DIMENSIONLESS, MASS_DENSITY, TIME, Quantity, Record, _new, require
+from .dimq import DIMENSIONLESS, Quantity, Record, _new
 
 __all__ = ["LargeNumberReport", "alpha", "beta", "gamma", "identities"]
 
 
 def alpha(profile: ConstantsProfile = PAPER) -> Quantity:
     """e²/(G m_e m_p), about 2.3e39 for modern constants."""
-    return f.ALPHA.quantity(f.environment(profile))
+    return f.ALPHA.quantity(profile._log10s)
 
 
 def beta(t: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
     """c t divided by the classical electron radius e²/(m_e c²)."""
-    require(t, TIME, "t")
-    return f.BETA.quantity(f.environment(profile, t=t.log10))
+    return f.BETA.quantity(f.environment(profile, t=t))
 
 
 def gamma(rho: Quantity, t: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
     """√(ρc³t³/m_p): square root of the baryons inside the horizon."""
-    require(rho, MASS_DENSITY, "rho")
-    require(t, TIME, "t")
-    return f.GAMMA.quantity(f.environment(profile, rho=rho.log10, t=t.log10))
+    return f.GAMMA.quantity(f.environment(profile, rho=rho, t=t))
 
 
 class LargeNumberReport(Record):
@@ -58,9 +55,7 @@ def identities(
     rho: Quantity, t: Quantity, profile: ConstantsProfile = PAPER
 ) -> LargeNumberReport:
     """Evaluate α, β, γ and the three residuals at (ρ, t)."""
-    require(t, TIME, "t")  # before rho, the order beta and gamma report a bad input in
-    require(rho, MASS_DENSITY, "rho")
-    return _identities(f.environment(profile, rho=rho.log10, t=t.log10))
+    return _identities(f.environment(profile, t=t, rho=rho))  # t first, as in beta and gamma
 
 
 def _identities(env: dict[object, float]) -> LargeNumberReport:

@@ -12,6 +12,7 @@ from fractions import Fraction
 from cosmocap import dimq, formulas
 from cosmocap.bounds import SystemSpec, system_limits
 from cosmocap.cosmo import (
+    PHOTONS_ONLY,
     Scenario,
     Species,
     SpeciesTable,
@@ -75,6 +76,23 @@ def test_sweep_operation_builds_no_fraction():
         bits_radiation(energy, Quantity(1, 1.0, TEMPERATURE), species)
 
     assert _fractions(_profiled(run)) == 0
+
+
+# dimq.require calls: a report reads its scenario's fields, checked when
+# the scenario was built, so it checks only apply_gravity's ops; a public
+# function checks each of its inputs once.
+def test_full_report_checks_only_the_gravity_input():
+    assert _calls(_profiled_report(paper_scenario()), dimq.require.__code__) == 1
+
+
+def test_radiation_functions_check_each_input_once():
+    energy, t1 = Quantity(1, 70.0, ENERGY), Quantity(1, 17.0, TIME)
+
+    def run():
+        ops_radiation(energy, t1, zero(TIME))  # e1, t1, t0
+        bits_radiation(energy, Quantity(1, 1.0, TEMPERATURE), PHOTONS_ONLY)  # energy, temperature
+
+    assert _calls(_profiled(run), dimq.require.__code__) == 5
 
 
 # Monomial.log10 calls, nested rows included, in one paper report: 25.

@@ -324,6 +324,7 @@ def test_domain_errors_exit_three(run_cli, tmp_path):
 # non-finite, beyond-double, below-double and undecodable values are malformed, not
 # unphysical; a file's bytes go to the path appended to argv
 _HUGE = b"1" + b"0" * 400
+_OVERSIZED = b"7" * 5000  # past the interpreter's 4300-digit limit on int literals
 
 
 def _species(field: bytes) -> bytes:
@@ -354,6 +355,11 @@ _MALFORMED = {
     "profile-huge-int": (
         ["constants"],
         b'{"name": "paper", "constants": {"x": {"value": ' + _HUGE + b"}}}",
+    ),
+    "scenario-oversized-int": (["report"], b'{"rho_kg_m3": ' + _OVERSIZED + b"}"),
+    "profile-oversized-int": (
+        ["constants"],
+        b'{"name": "paper", "constants": {"x": {"value": ' + _OVERSIZED + b"}}}",
     ),
     "profile-zero-denominator": (
         ["constants"],
@@ -391,6 +397,28 @@ def test_malformed_values_exit_two(run_cli, tmp_path, argv, content):
     code, out, err = run_cli(argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# json refuses an int literal past the digit limit before any key reads it
+_HUGE_INT_ERRORS = {
+    "scenario-oversized-int": "malformed JSON in {path}: Exceeds the limit (4300 digits)",
+    "profile-oversized-int":
+        "bad profile file {path!r}: malformed JSON in {path}: Exceeds the limit (4300 digits)",
+    "scenario-huge-int": "scenario key 'rho_kg_m3' must be finite and fit in a double\n",
+    "profile-huge-int":
+        "bad profile file {path!r}: constant 'x' key 'value' must be finite and fit in a double\n",
+}
+
+
+@pytest.mark.parametrize("case", _HUGE_INT_ERRORS)
+def test_huge_int_literals_are_refused_by_file_or_key(run_cli, tmp_path, case):
+    argv, content = _MALFORMED[case]
+    message = _HUGE_INT_ERRORS[case]
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, out, err = run_cli([*argv, str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message.format(path=str(path)))
 
 
 # a valid profile whose hbar*c/e2 is 10^608.47, far beyond double range

@@ -23,7 +23,7 @@ import mpmath
 import pytest
 
 from cosmocap import CODATA, PAPER, formulas as f, load_profile
-from cosmocap.dimq import DIMENSIONLESS, RATE, TIME, Dimension, DimensionError
+from cosmocap.dimq import DIMENSIONLESS, ENERGY, RATE, TIME, Dimension, DimensionError, make
 
 DATA = Path(__file__).parent / "data"
 
@@ -86,6 +86,13 @@ def test_a_reciprocal_row_never_yields_negative_zero():
     assert math.copysign(1.0, f.Monomial(RATE, ("t", -1)).log10({"t": 0.0})) == -1.0
 
 
+def test_each_parameter_name_fills_an_input_symbol():
+    assert set(f.PARAMETER_SYMBOLS.values()) <= set(f.INPUT_DIMS)
+    assert f.environment(None, t1=make(1e3, TIME), e1=make(1e2, ENERGY)) == {"t": 3.0, "E": 2.0}
+    env = f.environment(PAPER)
+    assert env == PAPER._log10s and env is not PAPER._log10s  # callers add to their copy
+
+
 def _nested(row):
     for term, _ in row.terms:
         if isinstance(term, f.Monomial):
@@ -104,7 +111,7 @@ def test_rows_of_constants_alone_are_each_profiles_to_evaluate():
     for i, row in enumerate(f.CONSTANT_ROWS):
         assert set(_nested(row)) <= set(f.CONSTANT_ROWS[:i])
     for profile in (PAPER, CODATA, load_profile(str(DATA / "domain_profile.json"))):
-        assert set(f.CONSTANT_ROWS) <= set(f.environment(profile))
+        assert set(f.CONSTANT_ROWS) <= set(profile._log10s)
 
 
 # ---------------------------------------------------------------- oracle
@@ -218,8 +225,8 @@ def test_the_oracle_covers_every_row():
 def test_rows_agree_with_mpmath(index):
     inp, horizon = _fixture_inputs()[index]
     exact = _oracle_inputs(inp, horizon)
-    env = f.environment(PROFILES[inp["profile"]],
-                        **{k: float(mp.log10(v)) for k, v in exact.items()})
+    env = {**PROFILES[inp["profile"]]._log10s,
+           **{k: float(mp.log10(v)) for k, v in exact.items()}}
     v = SimpleNamespace(**{k: mp.mpf(x) for k, x in RAW[inp["profile"]].items()}, **exact)
     for name, (formula, tol) in ORACLE.items():
         err = abs(ROWS[name].log10(env) - float(mp.log10(formula(v))))
