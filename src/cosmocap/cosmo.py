@@ -31,7 +31,6 @@ import math
 from fractions import Fraction
 
 from . import formulas as f
-from .bounds import max_bits
 from .constants import PAPER, ConstantsProfile, get
 from .dimq import (
     DIMENSIONLESS,
@@ -259,8 +258,11 @@ def bits_matter(
     Equal to (4/(3 ln 2)) D^{1/4} ops_matter^{3/4} by construction; the
     3/4 power is why ~10^120 ops ride on only ~10^90 bits.
     """
-    entropy = entropy_in_volume(rho, horizon_volume(age, profile), species, profile)
-    return max_bits(entropy, profile)
+    env = f.environment(profile, rho=rho, age=age)
+    env["weight"] = species.log10_weight()
+    env["V"] = f.HORIZON_VOLUME.log10(env)
+    env["S"] = f.ENTROPY_IN_VOLUME.log10(env)
+    return f.MAX_BITS.quantity(env)
 
 
 def bits_holographic(age: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:

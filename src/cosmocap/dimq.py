@@ -19,6 +19,13 @@ by a gcd, so none of them builds a ``Fraction``.  Only the axis
 properties, ``repr`` and pickling hand ``Fraction``s back to callers.
 A quantity with all exponents zero is dimensionless and converts back to
 an ordinary float when it fits in one.
+
+The wire form's decode is one pass: ``read_fields`` tests an exact
+``dict`` before the ``Mapping`` ABC and looks for unknown keys only when
+the key set is not a subset of the table's, each pair that is a list of
+two exact ints (what ``json`` builds) is taken as it is, and the five
+pairs go to one lcm and one reduction.  Tuples, int subclasses and
+other mappings take the general checks, with the same result.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections.abc import Callable, Collection, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 
 __all__ = [
@@ -103,7 +110,9 @@ class Dimension:
         if not _EXPONENT_TYPES.issuperset(map(type, exps)):  # isinstance on an ABC is slow
             for name, exp in zip(_JSON_AXES.values(), exps):
                 _exponent(exp, f"{name} exponent")
-        return _from_ratios([e.as_integer_ratio() for e in exps])
+        return _from_ratios((length.as_integer_ratio(), mass.as_integer_ratio(),
+                             time.as_integer_ratio(), temperature.as_integer_ratio(),
+                             charge2.as_integer_ratio()))
 
     length, mass, time, temperature, charge2 = (
         property(lambda self, i=i: Fraction(self._num[i], self._den)) for i in range(5)
@@ -131,7 +140,7 @@ class Dimension:
         return not any(self._num)
 
     def _combine(self, other: "Dimension", sign: int) -> "Dimension":
-        if not isinstance(other, Dimension):
+        if other.__class__ is not Dimension and not isinstance(other, Dimension):
             return NotImplemented
         den = math.lcm(self._den, other._den)
         a, b = den // self._den, sign * (den // other._den)
@@ -179,10 +188,12 @@ def _reduced(num: tuple[int, ...], den: int) -> Dimension:
     return dim
 
 
-def _from_ratios(ratios: Collection[tuple[int, int]]) -> Dimension:
-    """The Dimension of one (numerator, nonzero denominator) pair per axis."""
-    den = math.lcm(*[d for _, d in ratios])  # positive; den // d also fixes a negative d's sign
-    return _reduced(tuple([n * (den // d) for n, d in ratios]), den)
+def _from_ratios(ratios: Iterable[tuple[int, int]]) -> Dimension:
+    """The Dimension of one (numerator, nonzero denominator) pair per axis, all five."""
+    (l, dl), (m, dm), (t, dt), (k, dk), (q, dq) = ratios
+    den = math.lcm(dl, dm, dt, dk, dq)  # positive; den // d also fixes a negative d's sign
+    return _reduced((l * (den // dl), m * (den // dm), t * (den // dt), k * (den // dk),
+                     q * (den // dq)), den)
 
 
 DIMENSIONLESS = Dimension()
@@ -201,13 +212,21 @@ MASS_DENSITY = MASS / VOLUME
 
 def dimension_to_mapping(dim: Dimension) -> dict[str, list[int]]:
     """JSON form: nonzero exponents only, each as [numerator, denominator]."""
-    axes = ((key, n, math.gcd(n, dim._den)) for key, n in zip(_JSON_AXES, dim._num) if n)
-    return {key: [n // g, dim._den // g] for key, n, g in axes}
+    den, mapping = dim._den, {}
+    for key, n in zip(_JSON_AXES, dim._num):
+        if n:
+            g = math.gcd(n, den)
+            mapping[key] = [n // g, den // g]
+    return mapping
 
 
 def _axis_ratio(raw: object, what: str) -> tuple[int, int]:
     """A JSON ``[numerator, nonzero denominator]`` pair as two ints."""
-    if isinstance(raw, (list, tuple)) and len(raw) == 2:
+    if raw.__class__ is list and len(raw) == 2:  # what json itself builds: two exact ints
+        n, d = raw
+        if n.__class__ is int and d.__class__ is int and d:
+            return n, d
+    if isinstance(raw, (list, tuple)) and len(raw) == 2:  # a tuple, an int subclass, or junk
         n, d = raw
         if (
             isinstance(n, int) and not isinstance(n, bool)
@@ -468,7 +487,7 @@ def add(a: Quantity, b: Quantity) -> Quantity:
     answer at that separation anyway.  Equal magnitudes with opposite
     signs cancel to exact zero rather than to a tiny residue.
     """
-    if a.dimension != b.dimension:
+    if a.dimension is not b.dimension and a.dimension != b.dimension:
         raise DimensionError(
             "cannot add quantities of different dimension",
             a.dimension,
@@ -514,7 +533,7 @@ def require(q: Quantity, dim: Dimension, what: str, *, allow_zero: bool = False)
 
     ``allow_zero`` relaxes the sign check to >= 0.
     """
-    if q.dimension != dim:
+    if q.dimension is not dim and q.dimension != dim:
         raise DimensionError(f"{what} has the wrong dimension", q.dimension, dim)
     if q.sign < 0 or (q.sign == 0 and not allow_zero):
         raise ValueError(f"{what} must be {'>= 0' if allow_zero else '> 0'}")
@@ -545,9 +564,10 @@ def read_fields(
     to refuse, never read as absent.  An absent key takes ``default``,
     or is refused when that is ``REQUIRED``.
     """
-    if not isinstance(raw, Mapping):
+    if raw.__class__ is not dict and not isinstance(raw, Mapping):  # isinstance on an ABC is slow
         raise InputError(f"{what} must be an object")
-    reject_unknown(raw, spec, what)
+    if not raw.keys() <= spec.keys():
+        reject_unknown(raw, spec, what)
     fields = {}
     for key, (reader, default) in spec.items():
         if key in raw:
@@ -636,8 +656,9 @@ def quantity_from_jsonable(data: Mapping[str, object]) -> Quantity:
     if sign not in (-1, 0, 1) or isinstance(sign, bool):
         raise InputError(f"sign must be -1, 0 or 1, got {sign!r}")
     dimension = dimension_from_mapping(dims)
+    # sign and dimension are checked above, so the unchecked constructor will do
     if sign == 0:
         if log10 is not None:
             raise InputError("exact zero must carry log10 null")
-        return zero(dimension)
-    return Quantity(int(sign), number(log10, "log10"), dimension)
+        return _new(Quantity, 0, 0.0, dimension)
+    return _new(Quantity, int(sign), number(log10, "log10"), dimension)

@@ -6,6 +6,7 @@ here as a count.
 """
 
 import cProfile
+import json
 import pstats
 from fractions import Fraction
 
@@ -16,12 +17,15 @@ from cosmocap.cosmo import (
     Scenario,
     Species,
     SpeciesTable,
+    bits_matter,
     bits_radiation,
     full_report,
     ops_radiation,
     paper_scenario,
 )
-from cosmocap.dimq import ENERGY, ENTROPY, LENGTH, TEMPERATURE, TIME, Dimension, Quantity, zero
+from cosmocap.dimq import (
+    ENERGY, ENTROPY, LENGTH, MASS_DENSITY, TEMPERATURE, TIME, Dimension, Quantity, make, zero,
+)
 
 
 def _profiled(run) -> cProfile.Profile:
@@ -60,22 +64,30 @@ def test_full_report_builds_few_fractions():
     assert _fractions(_profiled_report()) == 0
 
 
-def test_sweep_operation_builds_no_fraction():
-    # the benchmark's sweep operation on a 3-species table, every record built inside
-    def run():
-        species = SpeciesTable((
-            Species("photon", 2, 1, "boson"),
-            Species("nu", 2, 2, "fermion"),
-            Species("e", 2, 2, "fermion"),
-        ))
-        scenario = Scenario(paper_scenario().rho, paper_scenario().age, species=species)
-        full_report(scenario)
-        energy = Quantity(1, 70.0, ENERGY)
-        system_limits(SystemSpec(energy, Quantity(1, 90.0, ENTROPY), Quantity(1, 26.0, LENGTH)))
-        ops_radiation(energy, scenario.age, zero(TIME))
-        bits_radiation(energy, Quantity(1, 1.0, TEMPERATURE), species)
+def _sweep_operation():
+    # the benchmark's sweep operation on a 3-species table, every record and
+    # input built inside, each input by make or Quantity as the benchmark does
+    species = SpeciesTable((
+        Species("photon", 2, 1, "boson"),
+        Species("nu", 2, 2, "fermion"),
+        Species("e", 2, 2, "fermion"),
+    ))
+    scenario = Scenario(make(1e-27, MASS_DENSITY), make(3.156e17, TIME), species=species)
+    full_report(scenario)
+    energy = Quantity(1, 70.0, ENERGY)
+    system_limits(SystemSpec(energy, Quantity(1, 90.0, ENTROPY), Quantity(1, 26.0, LENGTH)))
+    ops_radiation(energy, scenario.age, zero(TIME))
+    bits_radiation(energy, Quantity(1, 1.0, TEMPERATURE), species)
 
-    assert _fractions(_profiled(run)) == 0
+
+def test_sweep_operation_builds_no_fraction():
+    assert _fractions(_profiled(_sweep_operation)) == 0
+
+
+def test_sweep_operation_compares_no_dimension():
+    # every input carries the module constant its check asks for, so each
+    # require passes on identity before Dimension.__eq__
+    assert _calls(_profiled(_sweep_operation), Dimension.__eq__.__code__) == 0
 
 
 # dimq.require calls: a report reads its scenario's fields, checked when
@@ -93,6 +105,11 @@ def test_radiation_functions_check_each_input_once():
         bits_radiation(energy, Quantity(1, 1.0, TEMPERATURE), PHOTONS_ONLY)  # energy, temperature
 
     assert _calls(_profiled(run), dimq.require.__code__) == 5
+
+
+def test_bits_matter_checks_each_input_once():
+    rho, age = paper_scenario().rho, paper_scenario().age
+    assert _calls(_profiled(lambda: bits_matter(rho, age)), dimq.require.__code__) == 2
 
 
 # Monomial.log10 calls, nested rows included, in one paper report: 25.
@@ -125,16 +142,18 @@ def test_full_report_builds_no_dimension():
     assert _calls(_profiled_report(paper_scenario()), dimq._reduced.__code__) == 0
 
 
+# the benchmark's algebra operation: a leaf from the caller's Fractions,
+# mul, div, a Fraction power, add, a mismatched add, then a JSON round trip
+_EXPS = {"length": Fraction(3, 4), "mass": Fraction(-1, 2), "time": Fraction(5, 6),
+         "temperature": Fraction(-7, 3), "charge2": Fraction(1, 12)}
+
+
 def test_algebra_chain_builds_no_fraction():
-    # the benchmark's algebra operation: a leaf from the caller's Fractions,
-    # mul, div, a Fraction power, add, a mismatched add, then a JSON round trip
-    exps = {"length": Fraction(3, 4), "mass": Fraction(-1, 2), "time": Fraction(5, 6),
-            "temperature": Fraction(-7, 3), "charge2": Fraction(1, 12)}
     other = Dimension(1, Fraction(1, 3), -2, 0, Fraction(-5, 4))
     p = Fraction(-3, 5)
 
     def run():
-        x = Quantity(1, 12.5, Dimension(**exps))
+        x = Quantity(1, 12.5, Dimension(**_EXPS))
         x = dimq.mul(x, Quantity(-1, 3.0, other))
         x = dimq.div(x, Quantity(1, -7.25, LENGTH))
         x = dimq.pow_rational(x, p)
@@ -148,3 +167,22 @@ def test_algebra_chain_builds_no_fraction():
         assert dimq.quantity_from_jsonable(dimq.quantity_to_jsonable(x)) == x
 
     assert _fractions(_profiled(run)) == 0
+
+
+def test_algebra_add_of_one_dimension_compares_no_dimension():
+    # the chain's add takes its operand's dimension object, so it passes on identity
+    x = Quantity(1, 12.5, Dimension(**_EXPS))
+    y = Quantity(1, x.log10 - 1.0, x.dimension)
+    assert _calls(_profiled(lambda: dimq.add(x, y)), Dimension.__eq__.__code__) == 0
+
+
+def test_quantity_decode_reads_each_pair_once():
+    # a well-formed five-axis wire form, as json.loads returns it: the key
+    # set passes without reject_unknown, the checked fields are built without
+    # Quantity.__init__, and the dimension is reduced once
+    wire = json.loads(json.dumps(dimq.quantity_to_jsonable(Quantity(-1, 12.5, Dimension(**_EXPS)))))
+    assert len(wire["dims"]) == 5
+    profiler = _profiled(lambda: dimq.quantity_from_jsonable(wire))
+    assert _calls(profiler, dimq.reject_unknown.__code__) == 0
+    assert _calls(profiler, Quantity.__init__.__code__) == 0
+    assert _calls(profiler, dimq._reduced.__code__) == 1

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, strategies as st
@@ -499,6 +500,30 @@ def test_interval_is_a_dimensionless_band():
     assert str(band) == "10^{10±6}"
     with pytest.raises(TypeError):
         LogInterval(10.0, 6.0, DIMENSIONLESS)
+
+
+def _outcome(fn, raw):
+    try:
+        return "value", fn(raw)
+    except InputError as exc:
+        return "refused", str(exc)
+
+
+def test_any_mapping_reads_like_a_dict():
+    # a dict takes the direct path; any other Mapping takes the general one
+    def reader(value, what):
+        return (value, what)
+
+    def read(raw):
+        return read_fields(raw, "thing", {"a": (reader, REQUIRED), "b": (reader, "default")})
+
+    for data in ({"a": 1}, {"a": 1, "b": None}, {"a": 1, "c": 2}, {"b": 2}, {}):
+        assert _outcome(read, MappingProxyType(data)) == _outcome(read, data)
+    dims = [{}, {"L": [3, 4], "T": (10, -12)}, {"M": [1, 1], "Theta": [1, 0]},
+            {"L": [1, 1], "X": [1, 1]}, {"Q2": None}, {"T": [True, 1]}]
+    outcomes = [_outcome(dimension_from_mapping, data) for data in dims]
+    assert [_outcome(dimension_from_mapping, MappingProxyType(d)) for d in dims] == outcomes
+    assert {kind for kind, _ in outcomes} == {"value", "refused"}
 
 
 # ---------------------------------------------------------------- json codec

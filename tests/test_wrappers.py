@@ -41,7 +41,6 @@ OTHER = {"species": PHOTONS_ONLY, "include": True}
 # the order each function checks its inputs in, where it is not the signature's
 CHECK_ORDER = {
     "identities": ("t", "rho"),  # the order beta and gamma report a bad input in
-    "bits_matter": ("age", "rho"),  # the horizon volume is built first
 }
 # the inputs that may be zero
 ALLOWS_ZERO = {("apply_gravity", "ops"), ("max_bits", "entropy"), ("max_io_rate", "entropy"),
