@@ -9,16 +9,7 @@ short of what the universe's matter could do.
 from __future__ import annotations
 
 from . import formulas as f
-from .dimq import (
-    RATE,
-    TIME,
-    Quantity,
-    Record,
-    make,
-    require,
-    scalar,
-    zero,
-)
+from .dimq import RATE, TIME, Quantity, Record, make, scalar, zero
 
 __all__ = ["FleetSpec", "default_fleet", "fleet_bits", "fleet_ops", "historical_ops"]
 
@@ -29,9 +20,8 @@ class FleetSpec(Record):
     __slots__ = ("n_computers", "clock_rate", "ops_per_cycle", "duration", "bits_per_computer")
 
     def _check(self) -> None:
-        # each field is the row symbol of its name
-        for name in self.__slots__:  # an empty fleet is legal and computes nothing
-            require(getattr(self, name), f.INPUT_DIMS[name], name, allow_zero=name == "n_computers")
+        # an empty fleet is legal and computes nothing
+        f.environment(None, allow_zero=("n_computers",), **dict(zip(self._fields, self._values())))
 
     @staticmethod
     def from_counts(

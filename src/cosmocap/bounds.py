@@ -25,16 +25,7 @@ import math
 
 from . import formulas as f
 from .constants import PAPER, ConstantsProfile
-from .dimq import (
-    AREA,
-    ENERGY,
-    ENTROPY,
-    LENGTH,
-    Quantity,
-    Record,
-    require,
-    zero,
-)
+from .dimq import Quantity, Record, zero
 
 __all__ = [
     "BekensteinResult",
@@ -66,10 +57,10 @@ def min_flip_time(energy: Quantity, profile: ConstantsProfile = PAPER) -> Quanti
 
 def max_bits(entropy: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
     """S/(k_B ln 2).  Zero entropy is a legal, zero-bit register."""
-    require(entropy, ENTROPY, "entropy", allow_zero=True)
+    env = f.environment(profile, allow_zero=("entropy",), entropy=entropy)
     if entropy.sign == 0:
         return zero(f.MAX_BITS.dimension)
-    return f.MAX_BITS.quantity({**profile._log10s, "S": entropy.log10})
+    return f.MAX_BITS.quantity(env)
 
 
 def max_io_rate(
@@ -81,11 +72,9 @@ def max_io_rate(
     counts nats/s-like units rather than bits/s.  Callers wanting bits/s
     divide by ln 2 themselves.
     """
-    require(entropy, ENTROPY, "entropy", allow_zero=True)
-    env = f.environment(profile, radius=radius)
+    env = f.environment(profile, allow_zero=("entropy",), entropy=entropy, radius=radius)
     if entropy.sign == 0:
         return zero(f.MAX_IO_RATE.dimension)
-    env["S"] = entropy.log10
     return f.MAX_IO_RATE.quantity(env)
 
 
@@ -128,11 +117,8 @@ class SystemSpec(Record):
     _defaults = {"area": None}
 
     def _check(self) -> None:
-        require(self.energy, ENERGY, "energy")
-        require(self.entropy, ENTROPY, "entropy")
-        require(self.radius, LENGTH, "radius")
-        if self.area is not None:
-            require(self.area, AREA, "area")
+        area = {} if self.area is None else {"area": self.area}
+        f.environment(None, energy=self.energy, entropy=self.entropy, radius=self.radius, **area)
 
     def effective_area(self) -> Quantity:
         return self.area if self.area is not None else self.radius**2

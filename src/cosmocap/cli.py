@@ -39,7 +39,6 @@ from .dimq import (
     DEFAULT_TOLERANCE_DECADES,
     ENERGY,
     MASS_DENSITY,
-    ONE,
     RATE,
     TEMPERATURE,
     TIME,
@@ -54,9 +53,9 @@ from .dimq import (
     quantity_to_jsonable,
     read_fields,
     read_json_object,
-    require,
     scalar,
 )
+from .formulas import environment
 from .largenum import identities
 
 __all__ = ["main"]
@@ -181,10 +180,6 @@ def _profile_from_flag(args: argparse.Namespace) -> ConstantsProfile:
     return _resolve_profile(args.profile if args.profile is not None else "paper")
 
 
-def _age_from_years(years: float, profile: ConstantsProfile) -> Quantity:
-    return make(years) * get(profile, "year_seconds")
-
-
 def _as_is(value: object, what: str) -> object:
     return value  # the record built from it checks the value
 
@@ -246,7 +241,7 @@ def _load_scenario(
     hubble_v = fields["hubble_per_s"]
     scenario = cosmo.Scenario(
         rho=make(fields["rho_kg_m3"], MASS_DENSITY),
-        age=_age_from_years(fields["age_years"], profile),
+        age=cosmo._years(make(fields["age_years"]), profile),
         hubble=None if hubble_v is None else make(hubble_v, RATE),
         species=fields["species"],
         include_gravity=fields["include_gravity"],
@@ -325,7 +320,7 @@ def cmd_report(args: argparse.Namespace) -> Table:
 def cmd_epoch_matter(args: argparse.Namespace) -> Table:
     profile = _profile_from_flag(args)
     rho = make(args.rho, MASS_DENSITY)
-    age = _age_from_years(args.age_years, profile)
+    age = cosmo._years(make(args.age_years), profile)
     ops, ops_c = cosmo.ops_matter(rho, age, profile), cosmo.ops_critical(age, profile)
     bits = cosmo.bits_matter(rho, age, cosmo.PHOTONS_ONLY, profile)
     bits_h = cosmo.bits_holographic(age, profile)
@@ -409,13 +404,13 @@ def cmd_epoch_inflation(args: argparse.Namespace) -> Table:
 
 def cmd_large_numbers(args: argparse.Namespace) -> Table:
     profile = _profile_from_flag(args)
-    age = _age_from_years(args.age_years, profile)
-    require(age, TIME, "age")  # before the default density divides by it
+    age = cosmo._years(make(args.age_years), profile)
+    environment(None, age=age)  # before the default density divides by it
     if args.rho is not None:
         rho = make(args.rho, MASS_DENSITY)
     else:
         # default: critical density, where all three residuals sit at 1
-        rho = cosmo.critical_density(ONE / age, "approx", profile)
+        rho = cosmo.critical_density(cosmo._reciprocal(age), "approx", profile)
     report = identities(rho, age, profile)
     residuals = ("r1", "r2", "r3")
     rows = [

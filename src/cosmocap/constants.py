@@ -43,12 +43,10 @@ __all__ = [
     "ConstantsProfile",
     "builtin_profile",
     "fine_structure_inverse",
-    "get",
     "load_profile",
     "mass_ratio",
     "planck_length",
     "planck_time",
-    "profile_from_dict",
 ]
 
 class ConstantsProfile(Record):

@@ -20,9 +20,9 @@ growth band are tracked as a log-space interval.
 
 Density ρ is mass density (kg/m³) throughout; energy density is always
 written ρc².  Each formula here is a row of the table in ``formulas``;
-the functions have ``formulas.environment`` check their inputs against
-``formulas.INPUT_DIMS`` and evaluate that row, and ``full_report``
-evaluates all of its rows on one set of log10 inputs.
+the functions and ``Scenario`` have ``formulas.environment`` check their
+inputs against ``formulas.INPUT_DIMS``, each function evaluates its row,
+and ``full_report`` evaluates all of its rows on one set of log10 inputs.
 """
 
 from __future__ import annotations
@@ -52,8 +52,6 @@ from .largenum import _identities
 
 __all__ = [
     "GUT_THRESHOLD_GEV",
-    "PAPER_AGE_YEARS",
-    "PAPER_RHO_KG_M3",
     "PHOTONS_ONLY",
     "CapacityReport",
     "InflationBounds",
@@ -83,7 +81,7 @@ __all__ = [
 
 _LN10 = math.log(10.0)
 _LOG10_TWO = math.log10(2.0)
-_LOG10_TRANSITION_YEARS = math.log10(7.0e5)  # the default matter-radiation transition
+_TRANSITION_YEARS = make(7.0e5)  # the default matter-radiation transition
 # n_eff per polarization state and particle, in eighths: 1 for a boson, 7/8 for a fermion
 _EIGHTHS = {"boson": 8, "fermion": 7}
 
@@ -287,8 +285,7 @@ def ops_radiation(
     Finite even from t0 = 0, where it is exactly twice the fixed-energy
     count (2E1/πħ)·t1.  Zero at t0 = t1 by exact cancellation.
     """
-    env = f.environment(profile, e1=e1, t1=t1)
-    require(t0, TIME, "t0", allow_zero=True)
+    env = f.environment(profile, allow_zero=("t0",), e1=e1, t1=t1, t0=t0)
     if t0.sign > 0 and t0.log10 > t1.log10:
         raise ValueError("t0 must not exceed t1")
     # 1 − √(t0/t1) from the log gap: expm1 keeps the digits that the
@@ -366,23 +363,32 @@ class Scenario(Record):
                  "profile": PAPER, "matter_radiation_transition": None, "inflation_growth": None}
 
     def _check(self) -> None:
-        require(self.rho, MASS_DENSITY, "rho")
-        require(self.age, TIME, "age")
-        if self.hubble is None:  # 1/t, the same bits as ONE / age
-            object.__setattr__(self, "hubble", _new(Quantity, 1, 0.0 - self.age.log10, RATE))
-        require(self.hubble, RATE, "hubble")
+        if self.hubble is None:  # 1/t of the checked age: a rate > 0 by construction
+            f.environment(None, rho=self.rho, age=self.age)
+            object.__setattr__(self, "hubble", _reciprocal(self.age))
+        else:
+            f.environment(None, rho=self.rho, age=self.age, hubble=self.hubble)
         if not isinstance(self.species, SpeciesTable):
             raise TypeError("species must be a SpeciesTable")
-        if self.matter_radiation_transition is None:  # the same bits as make(7e5) * year
-            year = get(self.profile, "year_seconds").log10
-            transition = _new(Quantity, 1, _LOG10_TRANSITION_YEARS + year, TIME)
+        if self.matter_radiation_transition is None:
+            transition = _years(_TRANSITION_YEARS, self.profile)
             object.__setattr__(self, "matter_radiation_transition", transition)
         require(self.matter_radiation_transition, TIME, "matter_radiation_transition")
 
 
+def _years(years: Quantity, profile: ConstantsProfile) -> Quantity:
+    """A count of the profile's years as a time on ``TIME`` itself: the bits of years * year."""
+    return _new(Quantity, years.sign, years.log10 + get(profile, "year_seconds").log10, TIME)
+
+
+def _reciprocal(age: Quantity) -> Quantity:
+    """1/t of a checked age t > 0, as a rate on ``RATE`` itself: the bits of ONE / age."""
+    return _new(Quantity, 1, 0.0 - age.log10, RATE)
+
+
 def paper_scenario(profile: ConstantsProfile = PAPER) -> Scenario:
     """ρ = 1e-27 kg/m³ at age 10^10 years, photons only, no gravity."""
-    age = make(PAPER_AGE_YEARS) * get(profile, "year_seconds")
+    age = _years(make(PAPER_AGE_YEARS), profile)
     return Scenario(rho=make(PAPER_RHO_KG_M3, MASS_DENSITY), age=age, profile=profile)
 
 

@@ -37,27 +37,29 @@ from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 
 __all__ = [
+    "AREA",
+    "CHARGE2",
     "DEFAULT_TOLERANCE_DECADES",
+    "DIMENSIONLESS",
+    "ENERGY",
+    "ENTROPY",
+    "LENGTH",
+    "MASS",
+    "MASS_DENSITY",
+    "RATE",
+    "TEMPERATURE",
+    "TIME",
+    "VOLUME",
     "Dimension",
     "DimensionError",
-    "InputError",
     "LogInterval",
     "Quantity",
-    "REQUIRED",
-    "Reader",
-    "Record",
     "add",
     "approx_eq",
     "div",
     "make",
     "mul",
-    "number",
-    "parse_float",
     "pow_rational",
-    "read_fields",
-    "read_json_object",
-    "reject_unknown",
-    "require",
     "scalar",
     "sub",
     "zero",

@@ -10,9 +10,10 @@ log10, and its dimension is fixed by the terms alone.  A ``Monomial``
 checks that dimension once, when the row is built at import, against
 ``REQUIRED_DIMS`` and ``INPUT_DIMS``; a call then adds plain floats and
 the public wrappers in ``constants``, ``cosmo``, ``bounds``, ``largenum``
-and ``baseline`` build one ``Quantity`` from the sum.  A wrapper passes its
+and ``baseline`` build one ``Quantity`` from the sum.  A wrapper, and a
+record of inputs (``SystemSpec``, ``Scenario``, ``FleetSpec``), passes its
 inputs to ``environment`` by parameter name, which checks them against
-``INPUT_DIMS``.
+``INPUT_DIMS``; no other module names an input's dimension.
 
 A row of constants alone (the Planck scales, ħc/e², m_p/m_e, α and the
 anonymous products inside other rows) has one value per profile.  A
@@ -31,7 +32,7 @@ prefactor 1.0, so its sum starts at 0.0 and never yields -0.0.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Collection, Mapping
 from fractions import Fraction
 
 from .dimq import (
@@ -69,6 +70,8 @@ _SYMBOL_DIMS = {**REQUIRED_DIMS, **INPUT_DIMS}
 PARAMETER_SYMBOLS: dict[str, str] = {
     "rho": "rho", "age": "t", "t": "t", "t1": "t", "t0": "t0", "hubble": "H", "energy": "E",
     "e1": "E", "entropy": "S", "radius": "R", "area": "A", "temperature": "T", "volume": "V",
+    **{field: field for field in ("n_computers", "clock_rate", "ops_per_cycle", "duration",
+                                  "bits_per_computer")},  # a FleetSpec field is its own symbol
 }
 
 
@@ -128,16 +131,20 @@ def profile_table(constants: Mapping[str, Quantity]) -> dict[object, float]:
     return table
 
 
-def environment(profile, **inputs: Quantity) -> dict[object, float]:
+def environment(
+    profile, *, allow_zero: Collection[str] = (), **inputs: Quantity
+) -> dict[object, float]:
     """The profile's log10 table (none for ``profile`` None), plus each input's log10 by symbol.
 
     ``inputs`` are quantities by parameter name, each checked in order for its
-    symbol's ``INPUT_DIMS`` dimension and a value > 0; a refusal names the parameter.
+    symbol's ``INPUT_DIMS`` dimension and a value > 0, or >= 0 for a name in
+    ``allow_zero``; a refusal names the parameter.  This is the one check of
+    every public input that fills a row symbol.
     """
     env = {} if profile is None else dict(profile._log10s)
     for name, q in inputs.items():
         symbol = PARAMETER_SYMBOLS[name]
-        require(q, INPUT_DIMS[symbol], name)
+        require(q, INPUT_DIMS[symbol], name, allow_zero=name in allow_zero)
         env[symbol] = q.log10
     return env
 

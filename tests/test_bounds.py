@@ -16,6 +16,7 @@ from cosmocap.bounds import (
 from cosmocap.constants import PAPER, get, planck_length
 from cosmocap.cosmo import bits_holographic
 from cosmocap.dimq import (
+    AREA,
     DIMENSIONLESS,
     ENERGY,
     ENTROPY,
@@ -214,6 +215,20 @@ def test_system_spec_validation():
             entropy=make(1e-20, ENTROPY),
             radius=make(0.1, LENGTH),
         )
+
+
+def test_system_spec_checks_an_explicit_area():
+    budget = {"energy": make(1.0, ENERGY), "entropy": make(1e-20, ENTROPY),
+              "radius": make(0.1, LENGTH)}
+    with pytest.raises(DimensionError, match="^area has the wrong dimension: "):
+        SystemSpec(**budget, area=make(1.0, LENGTH))
+    with pytest.raises(ValueError, match="^area must be > 0$"):
+        SystemSpec(**budget, area=zero(AREA))
+    # the given area, not R², sets the holographic count
+    area = make(4.0, AREA)
+    limits = system_limits(SystemSpec(**budget, area=area))
+    assert limits.holographic_bits == holographic_bits(area)
+    assert limits.holographic_bits != holographic_bits(budget["radius"] ** 2)
 
 
 def test_system_limits_aggregates_consistently():

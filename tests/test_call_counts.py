@@ -5,12 +5,16 @@ builds is exact, so a regression in the dimension arithmetic shows up
 here as a count.
 """
 
+import contextlib
 import cProfile
+import io
 import json
 import pstats
 from fractions import Fraction
 
-from cosmocap import dimq, formulas
+import pytest
+
+from cosmocap import cli, dimq, formulas
 from cosmocap.bounds import SystemSpec, system_limits
 from cosmocap.cosmo import (
     PHOTONS_ONLY,
@@ -82,6 +86,27 @@ def _sweep_operation():
 
 def test_sweep_operation_builds_no_fraction():
     assert _fractions(_profiled(_sweep_operation)) == 0
+
+
+def _quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        paper_scenario,
+        lambda: _quiet_main(["epoch", "matter"]),
+        lambda: _quiet_main(["large-numbers"]),
+        lambda: _quiet_main(["report", "--default-paper"]),
+    ],
+    ids=["paper_scenario", "epoch-matter", "large-numbers", "report-default-paper"],
+)
+def test_an_age_in_years_compares_no_dimension(run):
+    # an age in years is built on dimq.TIME itself, and large-numbers' 1/t on
+    # dimq.RATE, so every check of them passes on identity
+    assert _calls(_profiled(run), Dimension.__eq__.__code__) == 0
 
 
 def test_sweep_operation_compares_no_dimension():

@@ -385,6 +385,12 @@ _MALFORMED = {
     "fleet-null": (["report"], b'{"fleet": null}'),
     "growth-no-halfwidth": (["report"], b'{"inflation_growth_log10": {"center": 10}}'),
     "profile-no-value": (["constants"], b'{"name": "paper", "constants": {"x": {"dims": {}}}}'),
+    # a file that is JSON but not the object its reader needs
+    "scenario-array": (["report"], b"[1, 2]"),
+    "profile-array": (["constants"], b"[]"),
+    "profile-no-name": (["constants"], b'{"constants": {}}'),
+    "profile-name-not-string": (["constants"], b'{"name": 5, "constants": {}}'),
+    "profile-constants-array": (["constants"], b'{"name": "x", "constants": []}'),
 }
 
 
@@ -419,6 +425,28 @@ def test_huge_int_literals_are_refused_by_file_or_key(run_cli, tmp_path, case):
     code, out, err = run_cli([*argv, str(path)])
     assert (code, out) == (2, "")
     assert err.startswith("error: " + message.format(path=str(path)))
+
+
+_WRONG_SHAPE_ERRORS = {
+    "scenario-array": "scenario file must hold a JSON object",
+    "profile-array": "bad profile file {path!r}: profile file must hold a JSON object",
+    "profile-no-name":
+        "bad profile file {path!r}: profile fixture needs a non-empty string 'name'",
+    "profile-name-not-string":
+        "bad profile file {path!r}: profile fixture needs a non-empty string 'name'",
+    "profile-constants-array":
+        "bad profile file {path!r}: profile fixture needs a 'constants' object",
+}
+
+
+@pytest.mark.parametrize("case", _WRONG_SHAPE_ERRORS)
+def test_a_file_of_the_wrong_shape_is_refused_by_name(run_cli, tmp_path, case):
+    argv, content = _MALFORMED[case]
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, out, err = run_cli([*argv, str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: " + _WRONG_SHAPE_ERRORS[case].format(path=str(path)) + "\n"
 
 
 # a valid profile whose hbar*c/e2 is 10^608.47, far beyond double range

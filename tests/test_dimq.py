@@ -109,6 +109,22 @@ def test_quantity_validates_sign_and_log():
     assert Quantity(0, 123.0).log10 == 0.0
 
 
+def test_quantity_refuses_a_dimension_of_another_type():
+    with pytest.raises(TypeError, match="^dimension must be a Dimension$"):
+        Quantity(1, 0.0, "L")
+
+
+def test_arithmetic_with_a_non_quantity_operand_is_refused():
+    q = make(6.0)
+    for operation in (
+        lambda: q * 2, lambda: 2 * q, lambda: q + 1, lambda: q - 1, lambda: q / 2,
+    ):
+        with pytest.raises(TypeError):
+            operation()
+    for method in (q.__mul__, q.__truediv__, q.__add__, q.__sub__):
+        assert method(2) is NotImplemented
+
+
 def test_to_value_round_trip():
     assert make(3.25e-7).to_value() == pytest.approx(3.25e-7, rel=1e-14)
     assert make(-2.0).to_value() == pytest.approx(-2.0, rel=1e-14)
