@@ -25,7 +25,7 @@ import math
 
 from . import formulas as f
 from .constants import PAPER, ConstantsProfile
-from .dimq import Quantity, Record, zero
+from .dimq import AREA, Quantity, Record, _new, zero
 
 __all__ = [
     "BekensteinResult",
@@ -121,7 +121,10 @@ class SystemSpec(Record):
         f.environment(None, energy=self.energy, entropy=self.entropy, radius=self.radius, **area)
 
     def effective_area(self) -> Quantity:
-        return self.area if self.area is not None else self.radius**2
+        """The area, or R² on ``AREA`` itself: the bits of ``radius**2``, building no Dimension."""
+        if self.area is not None:
+            return self.area
+        return _new(Quantity, 1, self.radius.log10 * 2.0, AREA)  # the radius was checked > 0
 
 
 class SystemLimits(Record):
@@ -131,12 +134,9 @@ class SystemLimits(Record):
 
 def system_limits(spec: SystemSpec, profile: ConstantsProfile = PAPER) -> SystemLimits:
     """All five limits for one system in a single pass."""
-    radius = spec.radius.log10
-    # the effective area's log10 without building R², as R**2 would give it
-    area = radius * 2.0 if spec.area is None else spec.area.log10
     # the spec's fields were checked when it was built
     env = {**profile._log10s, "E": spec.energy.log10, "S": spec.entropy.log10,
-           "R": radius, "A": area}
+           "R": spec.radius.log10, "A": spec.effective_area().log10}
     return SystemLimits(  # by position, which skips Record._arguments
         f.MAX_OPS_PER_SEC.quantity(env),
         f.MIN_FLIP_TIME.quantity(env),

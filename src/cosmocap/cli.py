@@ -254,6 +254,25 @@ def _load_scenario(
 # ---------------------------------------------------------------- report
 
 
+def _matter_rows(report: cosmo.CapacityReport, gravity: bool) -> list[Row]:
+    """The matter-epoch block of ``report``; ``gravity`` adds the text-only with-gravity row."""
+    return [
+        _row("ops (matter):       {}", ("ops_matter", report.ops_matter, _headline)),
+        _row("ops (critical):     {}", ("ops_critical", report.ops_critical, _headline)),
+        _row("ops (with gravity): {}", (None, report.ops_with_gravity, _headline), shown=gravity),
+        _row("bits (matter):      {}", ("bits_matter", report.bits_matter, _headline)),
+        _row("bits (holographic): {}", ("bits_holographic", report.bits_holographic, _headline)),
+    ]
+
+
+# a LargeNumberReport's fields: (name, its large-numbers line, its style); the
+# residuals show PASS when they hold, and r2, which holds for every input, FAIL too
+_LARGE_NUMBERS = (
+    ("alpha", "alpha: {}", None), ("beta", "beta:  {}", None), ("gamma", "gamma: {}", None),
+    ("r1", "r1: {}", _residual), ("r2", "r2: {}", _residual_or_fail), ("r3", "r3: {}", _residual),
+)
+
+
 def cmd_report(args: argparse.Namespace) -> Table:
     tol = args.tolerance_decades
     if not tol > 0:  # the rule dimq.approx_eq applies; it rejects nan as well
@@ -264,32 +283,20 @@ def cmd_report(args: argparse.Namespace) -> Table:
         raise InputError("give a scenario file or --default-paper")
     scenario, fleet = _load_scenario(args.scenario, args.profile)
     report = cosmo.full_report(scenario)
-    ln, infl, total = report.large_numbers, report.inflation, report.inflation_total_ops
+    infl, total = report.inflation, report.inflation_total_ops
+    ln = [(f"large_numbers.{name}", getattr(report.large_numbers, name), style)
+          for name, _, style in _LARGE_NUMBERS]
     names = ", ".join(s.name for s in scenario.species.entries)
     rows = [
         _text("scenario: rho {}, age {}, H {}", scenario.rho, scenario.age, scenario.hubble),
         _text("species: {} (total weight {})", names, scenario.species.total_weight()),
         _text("gravity factor: {}", "on" if scenario.include_gravity else "off"),
-        _row("ops (matter):       {}", ("ops_matter", report.ops_matter, _headline)),
-        _row("ops (critical):     {}", ("ops_critical", report.ops_critical, _headline)),
-        _row("ops (with gravity): {}", (None, report.ops_with_gravity, _headline)),
-        _row("bits (matter):      {}", ("bits_matter", report.bits_matter, _headline)),
-        _row("bits (holographic): {}", ("bits_holographic", report.bits_holographic, _headline)),
+        *_matter_rows(report, True),
         _row("blackbody T:        {}", ("blackbody_T", report.blackbody_T)),
         _text("entropy (horizon):  {}", report.entropy_total),
         _text("matter/radiation transition: {}", report.matter_radiation_transition),
-        _row(
-            "large numbers: alpha {}, beta {}, gamma {}",
-            ("large_numbers.alpha", ln.alpha),
-            ("large_numbers.beta", ln.beta),
-            ("large_numbers.gamma", ln.gamma),
-        ),
-        _row(
-            "residuals: r1 {}, r2 {}, r3 {}",
-            ("large_numbers.r1", ln.r1, _residual),
-            ("large_numbers.r2", ln.r2, _residual_or_fail),
-            ("large_numbers.r3", ln.r3, _residual),
-        ),
+        _row("large numbers: alpha {}, beta {}, gamma {}", *ln[:3]),
+        _row("residuals: r1 {}, r2 {}, r3 {}", *ln[3:]),
         _row(
             "inflation: ops/s {}, per Hubble time {}, bits in horizon {}",
             ("inflation.ops_per_sec", infl.ops_per_sec),
@@ -320,17 +327,11 @@ def cmd_report(args: argparse.Namespace) -> Table:
 def cmd_epoch_matter(args: argparse.Namespace) -> Table:
     profile = _profile_from_flag(args)
     rho = make(args.rho, MASS_DENSITY)
-    age = cosmo._years(make(args.age_years), profile)
-    ops, ops_c = cosmo.ops_matter(rho, age, profile), cosmo.ops_critical(age, profile)
-    bits = cosmo.bits_matter(rho, age, cosmo.PHOTONS_ONLY, profile)
-    bits_h = cosmo.bits_holographic(age, profile)
+    scenario = cosmo.Scenario(rho, cosmo._years(make(args.age_years), profile), profile=profile)
     rows = [
         _row(None, ("epoch", "matter")),
-        _text("rho: {}, age: {}", rho, age),
-        _row("ops (matter):       {}", ("ops_matter", ops, _headline)),
-        _row("ops (critical):     {}", ("ops_critical", ops_c, _headline)),
-        _row("bits (matter):      {}", ("bits_matter", bits, _headline)),
-        _row("bits (holographic): {}", ("bits_holographic", bits_h, _headline)),
+        _text("rho: {}, age: {}", rho, scenario.age),
+        *_matter_rows(cosmo.full_report(scenario), False),
     ]
     return f"matter epoch (profile: {profile.name})", rows
 
@@ -412,17 +413,12 @@ def cmd_large_numbers(args: argparse.Namespace) -> Table:
         # default: critical density, where all three residuals sit at 1
         rho = cosmo.critical_density(cosmo._reciprocal(age), "approx", profile)
     report = identities(rho, age, profile)
-    residuals = ("r1", "r2", "r3")
-    rows = [
-        _text("rho: {}, age: {}", rho, age),
-        _row("alpha: {}", ("alpha", report.alpha)),
-        _row("beta:  {}", ("beta", report.beta)),
-        _row("gamma: {}", ("gamma", report.gamma)),
-        _row("r1: {}", ("r1", report.r1, _residual)),
-        _row("r2: {}", ("r2", report.r2, _residual_or_fail)),
-        _row("r3: {}", ("r3", report.r3, _residual)),
-        _row(None, *((f"pass.{r}", _residual_holds(getattr(report, r))) for r in residuals)),
-    ]
+    rows = [_text("rho: {}, age: {}", rho, age)]
+    for name, text, style in _LARGE_NUMBERS:
+        rows.append(_row(text, (name, getattr(report, name), style)))
+    # the residuals are the fields with a style
+    rows.append(_row(None, *((f"pass.{name}", _residual_holds(getattr(report, name)))
+                             for name, _, style in _LARGE_NUMBERS if style)))
     return f"large numbers (profile: {profile.name})", rows
 
 

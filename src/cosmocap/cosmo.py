@@ -81,7 +81,7 @@ __all__ = [
 
 _LN10 = math.log(10.0)
 _LOG10_TWO = math.log10(2.0)
-_TRANSITION_YEARS = make(7.0e5)  # the default matter-radiation transition
+_TRANSITION_YEARS = make(7.0e5)  # the matter-radiation transition of every scenario
 # n_eff per polarization state and particle, in eighths: 1 for a boson, 7/8 for a fermion
 _EIGHTHS = {"boson": 8, "fermion": 7}
 
@@ -354,13 +354,14 @@ def inflation_total_ops(growth: LogInterval) -> LogInterval:
 
 
 class Scenario(Record):
-    """Inputs for a capacity report.  H defaults to 1/t, the transition
-    to the radiation epoch defaults to 7e5 years (report metadata only)."""
+    """Inputs for a capacity report.  H defaults to 1/t; the transition to the
+    radiation epoch is derived, 7e5 of the profile's years (report metadata only)."""
 
     __slots__ = ("rho", "age", "hubble", "species", "include_gravity", "profile",
-                 "matter_radiation_transition", "inflation_growth")
+                 "inflation_growth", "matter_radiation_transition")
+    _fields = __slots__[:-1]
     _defaults = {"hubble": None, "species": PHOTONS_ONLY, "include_gravity": False,
-                 "profile": PAPER, "matter_radiation_transition": None, "inflation_growth": None}
+                 "profile": PAPER, "inflation_growth": None}
 
     def _check(self) -> None:
         if self.hubble is None:  # 1/t of the checked age: a rate > 0 by construction
@@ -370,10 +371,8 @@ class Scenario(Record):
             f.environment(None, rho=self.rho, age=self.age, hubble=self.hubble)
         if not isinstance(self.species, SpeciesTable):
             raise TypeError("species must be a SpeciesTable")
-        if self.matter_radiation_transition is None:
-            transition = _years(_TRANSITION_YEARS, self.profile)
-            object.__setattr__(self, "matter_radiation_transition", transition)
-        require(self.matter_radiation_transition, TIME, "matter_radiation_transition")
+        transition = _years(_TRANSITION_YEARS, self.profile)
+        object.__setattr__(self, "matter_radiation_transition", transition)
 
 
 def _years(years: Quantity, profile: ConstantsProfile) -> Quantity:

@@ -330,7 +330,7 @@ class Record:
 class Quantity(Record):
     """A signed magnitude kept as log10, tagged with a dimension.
 
-    ``sign`` is -1, 0 or +1.  For sign 0 the stored log10 is meaningless
+    ``sign`` is the int -1, 0 or +1.  For sign 0 the stored log10 is meaningless
     and normalised to 0.0.  Exact zero is a first-class value: it
     absorbs multiplication, is the identity for addition, and is what
     you get when two equal magnitudes of opposite sign cancel.
@@ -353,7 +353,8 @@ class Quantity(Record):
 
     def __init__(self, sign: int, log10: float, dimension: Dimension = DIMENSIONLESS) -> None:
         # the checks a caller's arguments need and an arithmetic result does not
-        if sign not in (-1, 0, 1):
+        # an exact int: a bool or float sign would encode a wire form that does not decode
+        if sign.__class__ is not int or sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0 or +1, got {sign!r}")
         if not isinstance(dimension, Dimension):
             raise TypeError("dimension must be a Dimension")
@@ -364,11 +365,12 @@ class Quantity(Record):
     def from_value(value: float, dimension: Dimension = DIMENSIONLESS) -> "Quantity":
         if not math.isfinite(value):
             raise InputError(f"value must be finite, got {value!r}")
+        if not isinstance(dimension, Dimension):
+            raise TypeError("dimension must be a Dimension")
+        # the sign is right by construction, so the unchecked constructor will do
         if value == 0:
-            return Quantity(0, 0.0, dimension)
-        return Quantity(
-            1 if value > 0 else -1, math.log10(abs(value)), dimension
-        )
+            return _new(Quantity, 0, 0.0, dimension)
+        return _new(Quantity, 1 if value > 0 else -1, math.log10(abs(value)), dimension)
 
     # -- conversions -------------------------------------------------
 

@@ -200,6 +200,7 @@ def test_system_spec_defaults_area_to_radius_squared():
         radius=make(0.1, LENGTH),
     )
     assert spec.effective_area() == make(0.1, LENGTH) ** 2
+    assert spec.effective_area().dimension is AREA
 
 
 def test_system_spec_validation():

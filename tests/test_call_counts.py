@@ -137,6 +137,13 @@ def test_bits_matter_checks_each_input_once():
     assert _calls(_profiled(lambda: bits_matter(rho, age)), dimq.require.__code__) == 2
 
 
+# a command that shows the matter epoch builds one Scenario, which checks rho
+# and age, and reads one full_report, which checks apply_gravity's ops
+@pytest.mark.parametrize("argv", [["epoch", "matter"], ["report", "--default-paper"]])
+def test_matter_epoch_commands_check_each_input_once(argv):
+    assert _calls(_profiled(lambda: _quiet_main(argv)), dimq.require.__code__) == 3
+
+
 # Monomial.log10 calls, nested rows included, in one paper report: 25.
 # A row of constants alone is evaluated once per profile, when the
 # profile is built, so a report reads α, ħc/e², m_p/m_e and the Planck
@@ -159,6 +166,16 @@ MAX_QUANTITIES_PER_REPORT = 30
 def test_full_report_builds_each_quantity_once():
     quantities = _calls(_profiled_report(paper_scenario()), Quantity.__new__.__code__)
     assert 0 < quantities <= MAX_QUANTITIES_PER_REPORT
+
+
+def test_make_runs_no_quantity_init():
+    # from_value checks its value and dimension itself, and its sign is right by construction
+    assert _calls(_profiled(lambda: make(7e5)), Quantity.__init__.__code__) == 0
+
+
+def test_default_area_builds_no_dimension():
+    spec = SystemSpec(make(1.0, ENERGY), make(1e-20, ENTROPY), make(0.1, LENGTH))
+    assert _calls(_profiled(spec.effective_area), dimq._reduced.__code__) == 0
 
 
 def test_full_report_builds_no_dimension():

@@ -105,13 +105,20 @@ def test_quantity_validates_sign_and_log():
         Quantity(2, 0.0)
     with pytest.raises(ValueError):
         Quantity(1, float("nan"))
+    # a bool or float sign would encode a wire form that quantity_from_jsonable refuses
+    for sign in (True, 1.0):
+        with pytest.raises(ValueError, match=f"^sign must be -1, 0 or \\+1, got {sign!r}$"):
+            Quantity(sign, 2.0, LENGTH)
     # zero normalises its log
     assert Quantity(0, 123.0).log10 == 0.0
 
 
 def test_quantity_refuses_a_dimension_of_another_type():
-    with pytest.raises(TypeError, match="^dimension must be a Dimension$"):
-        Quantity(1, 0.0, "L")
+    for build in (lambda: Quantity(1, 0.0, "L"), lambda: make(1.0, "L"), lambda: make(0.0, "L")):
+        with pytest.raises(TypeError, match="^dimension must be a Dimension$"):
+            build()
+    with pytest.raises(InputError):  # the value is checked first
+        make(float("nan"), "L")
 
 
 def test_arithmetic_with_a_non_quantity_operand_is_refused():
@@ -155,6 +162,12 @@ def test_dimension_algebra():
     assert (LENGTH**3).length == Fraction(3)
     assert (LENGTH ** Fraction(3, 4)).length == Fraction(3, 4)
     assert ENERGY == MASS * LENGTH**2 / TIME**2
+
+
+def test_dimension_arithmetic_with_a_non_dimension_is_refused():
+    for operation in (lambda: LENGTH * 2, lambda: LENGTH / "x"):
+        with pytest.raises(TypeError):
+            operation()
 
 
 def test_dimension_rejects_float_exponent():
@@ -211,6 +224,7 @@ def test_dimension_render():
     assert DIMENSIONLESS.compact() == "[1]"
     assert (MASS / LENGTH**3).compact() == "[L^-3 M]"
     assert (LENGTH ** Fraction(3, 4)).compact() == "[L^3/4]"
+    assert str(LENGTH ** Fraction(3, 4)) == "[L^3/4]"
 
 
 def test_dimension_mapping_round_trip():

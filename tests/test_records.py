@@ -151,6 +151,9 @@ def test_misuse_messages_are_exact():
         (lambda: SystemSpec(energy=e, entropy=s), "SystemSpec() missing required argument: 'radius'"),
         (lambda: SystemSpec(entropy=s, radius=r, area=None),
          "SystemSpec() missing required argument: 'energy'"),
+        # the transition is derived from the profile, never given
+        (lambda: Scenario(rho=e, age=e, matter_radiation_transition=None),
+         "Scenario() got an unexpected or repeated argument 'matter_radiation_transition'"),
     ]
     for build, message in cases:
         with pytest.raises(TypeError) as info:
@@ -165,9 +168,10 @@ def test_defaults_apply():
     scenario = Scenario(paper_scenario().rho, paper_scenario().age)
     assert scenario.species is PHOTONS_ONLY and scenario.profile is PAPER
     assert scenario.include_gravity is False and scenario.inflation_growth is None
-    # the two derived defaults are filled by the record's own check
+    # the derived default and the derived transition are filled by the record's own check
     assert scenario.hubble == paper_scenario().hubble
     assert scenario.matter_radiation_transition.log10 == pytest.approx(13.34, abs=0.01)
+    assert len(Scenario._fields) == 7 and "matter_radiation_transition" not in Scenario._fields
 
 
 def test_equal_values_compare_and_hash_equal():
