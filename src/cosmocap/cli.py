@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands: report, epoch {matter,radiation,inflation}, large-numbers,
-constants, manmade.  Output is deterministic: fixed key order, log10
-printed with two decimals, small numbers in scientific notation with
-four significant digits.  Exit codes: 0 success, 2 bad usage or
-unparseable input, 3 domain error (an input the physics rejects).
+Subcommands, each declared once in ``_COMMANDS``: report, epoch
+{matter,radiation,inflation}, large-numbers, constants, manmade.  Output is
+deterministic: fixed key order, log10 printed with two decimals, small numbers
+in scientific notation with four significant digits.  Exit codes: 0 success, 2
+bad usage or unparseable input, 3 domain error (an input the physics rejects).
 
 Each command returns one table: a header line and a list of rows.  The
 text renderer prints the header and every row's template; the JSON
@@ -471,75 +471,74 @@ class _FloatFlag(argparse.Action):
         setattr(namespace, self.dest, parse_float(values, option_string))
 
 
+_PROFILE = ("--profile", dict(help="constants profile: paper, codata, or a JSON file"))
+
+# Every subparser, each parent before its subcommands: its argv path, add_parser's
+# keywords, its handler (None: it holds subcommands) and its flags as (name,
+# add_argument keywords), where a list of flags is one required mutually
+# exclusive group.  Every leaf also takes --json.
+_COMMANDS = (
+    (("report",), dict(help="full capacity report for a scenario"), cmd_report, (
+        ("scenario", dict(nargs="?", help="scenario JSON file")),
+        ("--default-paper", dict(action="store_true",
+                                 help="use the built-in 1e-27 kg/m3, 1e10 yr scenario")),
+        ("--tolerance-decades", dict(
+            action=_FloatFlag, default=DEFAULT_TOLERANCE_DECADES,
+            help="agreement tolerance for consistency lines (default 1.5)")),
+        _PROFILE,
+    )),
+    (("epoch",), dict(help="one epoch's numbers"), None, ()),
+    (("epoch", "matter"), {}, cmd_epoch_matter, (
+        ("--rho", dict(action=_FloatFlag, default=cosmo.PAPER_RHO_KG_M3, help="kg/m3")),
+        ("--age-years", dict(action=_FloatFlag, default=cosmo.PAPER_AGE_YEARS)),
+        _PROFILE,
+    )),
+    (("epoch", "radiation"), {}, cmd_epoch_radiation, (
+        [("--E1-joules", dict(dest="e1_joules", action=_FloatFlag)),
+         ("--E1-ratio", dict(dest="e1_ratio", action=_FloatFlag,
+                             help="E1 given as its op rate: 2 E1/(pi hbar) in ops/sec"))],
+        ("--t1", dict(action=_FloatFlag, required=True, help="seconds")),
+        ("--t0", dict(action=_FloatFlag, required=True, help="seconds")),
+        ("--temperature-k", dict(action=_FloatFlag)),
+        _PROFILE,
+    )),
+    (("epoch", "inflation"), {}, cmd_epoch_inflation, (
+        ("--H", dict(dest="hubble", action=_FloatFlag, help="1/seconds")),
+        ("--growth", dict(help="linear growth band as CENTER:HALFWIDTH in decades")),
+        _PROFILE,
+    )),
+    (("large-numbers",), {}, cmd_large_numbers, (
+        ("--rho", dict(action=_FloatFlag, help="kg/m3 (default: critical density)")),
+        ("--age-years", dict(action=_FloatFlag, default=cosmo.PAPER_AGE_YEARS)),
+        _PROFILE,
+    )),
+    (("constants",), {}, cmd_constants, (
+        ("name", dict(nargs="?")),
+        _PROFILE,
+    )),
+    (("manmade",), {}, cmd_manmade, (
+        ("--scenario", dict(help="scenario JSON file (fleet key)")),
+    )),
+)
+
+
 @functools.cache  # parsing leaves no state on the parser, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cosmocap",
-        description="Physical limits of computation, from one laptop to the whole sky.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_report = sub.add_parser("report", help="full capacity report for a scenario")
-    p_report.add_argument("scenario", nargs="?", help="scenario JSON file")
-    p_report.add_argument(
-        "--default-paper",
-        action="store_true",
-        help="use the built-in 1e-27 kg/m3, 1e10 yr scenario",
-    )
-    p_report.add_argument(
-        "--tolerance-decades",
-        action=_FloatFlag,
-        default=DEFAULT_TOLERANCE_DECADES,
-        help="agreement tolerance for consistency lines (default 1.5)",
-    )
-    p_report.set_defaults(handler=cmd_report)
-
-    p_epoch = sub.add_parser("epoch", help="one epoch's numbers")
-    esub = p_epoch.add_subparsers(dest="epoch", required=True)
-
-    e_matter = esub.add_parser("matter")
-    e_matter.add_argument("--rho", action=_FloatFlag, default=cosmo.PAPER_RHO_KG_M3, help="kg/m3")
-    e_matter.add_argument("--age-years", action=_FloatFlag, default=cosmo.PAPER_AGE_YEARS)
-    e_matter.set_defaults(handler=cmd_epoch_matter)
-
-    e_rad = esub.add_parser("radiation")
-    e1 = e_rad.add_mutually_exclusive_group(required=True)
-    e1.add_argument("--E1-joules", dest="e1_joules", action=_FloatFlag)
-    e1.add_argument(
-        "--E1-ratio",
-        dest="e1_ratio",
-        action=_FloatFlag,
-        help="E1 given as its op rate: 2 E1/(pi hbar) in ops/sec",
-    )
-    e_rad.add_argument("--t1", action=_FloatFlag, required=True, help="seconds")
-    e_rad.add_argument("--t0", action=_FloatFlag, required=True, help="seconds")
-    e_rad.add_argument("--temperature-k", action=_FloatFlag)
-    e_rad.set_defaults(handler=cmd_epoch_radiation)
-
-    e_inf = esub.add_parser("inflation")
-    e_inf.add_argument("--H", dest="hubble", action=_FloatFlag, help="1/seconds")
-    e_inf.add_argument("--growth", help="linear growth band as CENTER:HALFWIDTH in decades")
-    e_inf.set_defaults(handler=cmd_epoch_inflation)
-
-    p_large = sub.add_parser("large-numbers")
-    p_large.add_argument("--rho", action=_FloatFlag, help="kg/m3 (default: critical density)")
-    p_large.add_argument("--age-years", action=_FloatFlag, default=cosmo.PAPER_AGE_YEARS)
-    p_large.set_defaults(handler=cmd_large_numbers)
-
-    p_const = sub.add_parser("constants")
-    p_const.add_argument("name", nargs="?")
-    p_const.set_defaults(handler=cmd_constants)
-
-    p_man = sub.add_parser("manmade")
-    p_man.add_argument("--scenario", help="scenario JSON file (fleet key)")
-    p_man.set_defaults(handler=cmd_manmade)
-
-    profiled = (p_report, e_matter, e_rad, e_inf, p_large, p_const)
-    for p in profiled:
-        p.add_argument("--profile", help="constants profile: paper, codata, or a JSON file")
-    for p in (*profiled, p_man):
-        p.add_argument("--json", dest="as_json", action="store_true")
-    return parser
+    description = "Physical limits of computation, from one laptop to the whole sky."
+    top = argparse.ArgumentParser(prog="cosmocap", description=description)
+    subparsers = {(): top.add_subparsers(dest="command", required=True)}
+    for path, keywords, handler, flags in _COMMANDS:
+        p = subparsers[path[:-1]].add_parser(path[-1], **keywords)
+        for flag in flags:
+            group = p.add_mutually_exclusive_group(required=True) if isinstance(flag, list) else p
+            for name, options in flag if isinstance(flag, list) else (flag,):
+                group.add_argument(name, **options)
+        if handler is None:  # its subcommand's name goes to args.<its own name>
+            subparsers[path] = p.add_subparsers(dest=path[-1], required=True)
+        else:
+            p.add_argument("--json", dest="as_json", action="store_true")
+            p.set_defaults(handler=handler)
+    return top
 
 
 def main(argv: list[str] | None = None) -> int:
