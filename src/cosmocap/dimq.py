@@ -356,6 +356,8 @@ class Quantity(Record):
         # an exact int: a bool or float sign would encode a wire form that does not decode
         if sign.__class__ is not int or sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0 or +1, got {sign!r}")
+        if log10.__class__ is bool:  # it would encode "log10": true, which does not decode
+            raise ValueError(f"log10 must be a number, got {log10!r}")
         if not isinstance(dimension, Dimension):
             raise TypeError("dimension must be a Dimension")
 

@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 import pickle
 from fractions import Fraction
@@ -109,8 +110,19 @@ def test_quantity_validates_sign_and_log():
     for sign in (True, 1.0):
         with pytest.raises(ValueError, match=f"^sign must be -1, 0 or \\+1, got {sign!r}$"):
             Quantity(sign, 2.0, LENGTH)
+    # and so would a bool log10, whatever the sign
+    for sign in (1, 0):
+        with pytest.raises(ValueError, match="^log10 must be a number, got True$"):
+            Quantity(sign, True)
     # zero normalises its log
     assert Quantity(0, 123.0).log10 == 0.0
+
+
+@pytest.mark.parametrize("log10", [3, -2.5], ids=["int", "float"])
+def test_checked_quantity_survives_the_wire(log10):
+    q = Quantity(-1, log10, LENGTH)
+    back = quantity_from_jsonable(json.loads(json.dumps(quantity_to_jsonable(q))))
+    assert (back.sign, back.log10, back.dimension) == (-1, log10, LENGTH)
 
 
 def test_quantity_refuses_a_dimension_of_another_type():
