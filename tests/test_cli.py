@@ -604,6 +604,50 @@ def test_numeric_flag_table_covers_the_parser():
     assert seen - named_files == listed
 
 
+# any double (nan, the infinities and subnormals among them), or a literal beyond double range
+_any_number = st.one_of(
+    st.floats().map(repr), st.sampled_from(["1e400", "-1e400", "1e-400", "-1e-400", "5e-324"])
+)
+_FUZZED_FLAGS = {
+    "matter": ([], ["--rho", "--age-years"]),
+    "radiation": (["--t1", "--t0"], ["--temperature-k"]),
+    "inflation": ([], ["--H", "--growth"]),
+    "large-numbers": ([], ["--rho", "--age-years"]),
+}
+
+
+@st.composite
+def _fuzzed_argv(draw):
+    """A command whose numeric flags, each given or not unless required, take any number."""
+    command = draw(st.sampled_from(list(_FUZZED_FLAGS)))
+    required, optional = _FUZZED_FLAGS[command]
+    if command == "radiation":
+        required = [draw(st.sampled_from(["--E1-joules", "--E1-ratio"])), *required]
+    argv = ["large-numbers"] if command == "large-numbers" else ["epoch", command]
+    for flag in required + [f for f in optional if draw(st.booleans())]:
+        value = draw(_any_number)
+        if flag == "--growth":
+            value += ":" + draw(_any_number)
+        argv.append(f"{flag}={value}")  # "=" keeps a leading "-" from reading as a flag
+    return argv + draw(st.sampled_from([[], ["--json"]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fuzzed_argv())
+def test_any_number_exits_cleanly(argv):
+    """0 with output, or 2 or 3 with one error: line and nothing else; never a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert out and err == ""
+    else:
+        assert code in (2, 3)
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_growth_band_too_wide_to_square_exits_three(run_cli):
     code, out, err = run_cli(["epoch", "inflation", "--growth", "1e308:1"])
     assert (code, out) == (3, "")
