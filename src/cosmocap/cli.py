@@ -474,9 +474,9 @@ class _FloatFlag(argparse.Action):
 _PROFILE = ("--profile", dict(help="constants profile: paper, codata, or a JSON file"))
 
 # Every subparser, each parent before its subcommands: its argv path, add_parser's
-# keywords, its handler (None: it holds subcommands) and its flags as (name,
-# add_argument keywords), where a list of flags is one required mutually
-# exclusive group.  Every leaf also takes --json.
+# keywords, its handler (None: it holds subcommands) and its flags, each (name,
+# add_argument keywords), a list of them being one required mutually exclusive
+# group.  Every leaf takes --json, and every one that reads constants _PROFILE.
 _COMMANDS = (
     (("report",), dict(help="full capacity report for a scenario"), cmd_report, (
         ("scenario", dict(nargs="?", help="scenario JSON file")),
@@ -533,7 +533,7 @@ def _build_parser() -> argparse.ArgumentParser:
             group = p.add_mutually_exclusive_group(required=True) if isinstance(flag, list) else p
             for name, options in flag if isinstance(flag, list) else (flag,):
                 group.add_argument(name, **options)
-        if handler is None:  # its subcommand's name goes to args.<its own name>
+        if handler is None:  # dest names the subcommand a usage error says is missing
             subparsers[path] = p.add_subparsers(dest=path[-1], required=True)
         else:
             p.add_argument("--json", dest="as_json", action="store_true")
