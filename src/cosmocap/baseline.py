@@ -9,7 +9,7 @@ short of what the universe's matter could do.
 from __future__ import annotations
 
 from . import formulas as f
-from .dimq import RATE, TIME, Quantity, Record, make, scalar, zero
+from .dimq import Quantity, Record, scalar, zero
 
 __all__ = ["FleetSpec", "default_fleet", "fleet_bits", "fleet_ops", "historical_ops"]
 
@@ -31,13 +31,8 @@ class FleetSpec(Record):
         duration_s: float,
         bits_per_computer: float,
     ) -> "FleetSpec":
-        return FleetSpec(
-            n_computers=scalar(n_computers),
-            clock_rate=make(clock_rate_hz, RATE),
-            ops_per_cycle=scalar(ops_per_cycle),
-            duration=make(duration_s, TIME),
-            bits_per_computer=scalar(bits_per_computer),
-        )
+        counts = (n_computers, clock_rate_hz, ops_per_cycle, duration_s, bits_per_computer)
+        return FleetSpec(*map(f.given, FleetSpec._fields, counts))
 
 
 def default_fleet() -> FleetSpec:

@@ -25,7 +25,7 @@ import math
 
 from . import formulas as f
 from .constants import PAPER, ConstantsProfile
-from .dimq import AREA, Quantity, Record, _new, zero
+from .dimq import Quantity, Record, _new, zero
 
 __all__ = [
     "BekensteinResult",
@@ -121,10 +121,10 @@ class SystemSpec(Record):
         f.environment(None, energy=self.energy, entropy=self.entropy, radius=self.radius, **area)
 
     def effective_area(self) -> Quantity:
-        """The area, or R² on ``AREA`` itself: the bits of ``radius**2``, building no Dimension."""
+        """The area, or R² on ``INPUT_DIMS["A"]`` itself: the bits of ``radius**2``."""
         if self.area is not None:
             return self.area
-        return _new(Quantity, 1, self.radius.log10 * 2.0, AREA)  # the radius was checked > 0
+        return _new(Quantity, 1, self.radius.log10 * 2.0, f.INPUT_DIMS["A"])  # radius > 0, checked
 
 
 class SystemLimits(Record):

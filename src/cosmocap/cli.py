@@ -37,11 +37,6 @@ from .constants import (
 )
 from .dimq import (
     DEFAULT_TOLERANCE_DECADES,
-    ENERGY,
-    MASS_DENSITY,
-    RATE,
-    TEMPERATURE,
-    TIME,
     REQUIRED,
     InputError,
     LogInterval,
@@ -55,7 +50,7 @@ from .dimq import (
     read_json_object,
     scalar,
 )
-from .formulas import environment
+from .formulas import environment, given
 from .largenum import identities
 
 __all__ = ["main"]
@@ -240,9 +235,9 @@ def _load_scenario(
     profile = _resolve_profile(profile_name)
     hubble_v = fields["hubble_per_s"]
     scenario = cosmo.Scenario(
-        rho=make(fields["rho_kg_m3"], MASS_DENSITY),
+        rho=given("rho", fields["rho_kg_m3"]),
         age=cosmo._years(make(fields["age_years"]), profile),
-        hubble=None if hubble_v is None else make(hubble_v, RATE),
+        hubble=None if hubble_v is None else given("hubble", hubble_v),
         species=fields["species"],
         include_gravity=fields["include_gravity"],
         profile=profile,
@@ -326,7 +321,7 @@ def cmd_report(args: argparse.Namespace) -> Table:
 
 def cmd_epoch_matter(args: argparse.Namespace) -> Table:
     profile = _profile_from_flag(args)
-    rho = make(args.rho, MASS_DENSITY)
+    rho = given("rho", args.rho)
     scenario = cosmo.Scenario(rho, cosmo._years(make(args.age_years), profile), profile=profile)
     rows = [
         _row(None, ("epoch", "matter")),
@@ -339,19 +334,19 @@ def cmd_epoch_matter(args: argparse.Namespace) -> Table:
 def cmd_epoch_radiation(args: argparse.Namespace) -> Table:
     profile = _profile_from_flag(args)
     if args.e1_joules is not None:
-        e1 = make(args.e1_joules, ENERGY)
+        e1 = given("e1", args.e1_joules)
     else:
         # --E1-ratio r means: E1 sized so that 2 E1/(pi hbar) = r ops/sec
         hbar = get(profile, "hbar")
-        e1 = scalar(args.e1_ratio) * scalar(math.pi / 2.0) * hbar / make(1.0, TIME)
-    t1 = make(args.t1, TIME)
-    t0 = make(args.t0, TIME)
+        e1 = scalar(args.e1_ratio) * scalar(math.pi / 2.0) * hbar / given("t1", 1.0)
+    t1 = given("t1", args.t1)
+    t0 = given("t0", args.t0)
     ops = cosmo.ops_radiation(e1, t1, t0, profile)
     energy_at_t0 = cosmo.radiation_energy_at(e1, t1, t0) if t0.sign > 0 else None
 
     bits = hot = None
     if args.temperature_k is not None:
-        temperature = make(args.temperature_k, TEMPERATURE)
+        temperature = given("temperature", args.temperature_k)
         rad = cosmo.bits_radiation(e1, temperature, cosmo.PHOTONS_ONLY, profile)
         bits, hot = rad.bits, rad.above_gut_threshold
     warning = (
@@ -377,7 +372,8 @@ def cmd_epoch_inflation(args: argparse.Namespace) -> Table:
     profile = _profile_from_flag(args)
     if args.hubble is None and args.growth is None:
         raise InputError("inflation needs --H, --growth, or both")
-    rec = None if args.hubble is None else cosmo.inflation_bounds(make(args.hubble, RATE), profile)
+    hubble = None if args.hubble is None else given("hubble", args.hubble)
+    rec = None if hubble is None else cosmo.inflation_bounds(hubble, profile)
     total = None
     if args.growth is not None:
         center, sep, halfwidth = args.growth.partition(":")
@@ -408,7 +404,7 @@ def cmd_large_numbers(args: argparse.Namespace) -> Table:
     age = cosmo._years(make(args.age_years), profile)
     environment(None, age=age)  # before the default density divides by it
     if args.rho is not None:
-        rho = make(args.rho, MASS_DENSITY)
+        rho = given("rho", args.rho)
     else:
         # default: critical density, where all three residuals sit at 1
         rho = cosmo.critical_density(cosmo._reciprocal(age), "approx", profile)

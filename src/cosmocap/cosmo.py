@@ -34,9 +34,6 @@ from . import formulas as f
 from .constants import PAPER, ConstantsProfile, get
 from .dimq import (
     DIMENSIONLESS,
-    MASS_DENSITY,
-    RATE,
-    TIME,
     InputError,
     LogInterval,
     Quantity,
@@ -44,7 +41,6 @@ from .dimq import (
     _new,
     make,
     number,
-    require,
     zero,
 )
 from .formulas import GUT_THRESHOLD_GEV
@@ -196,7 +192,7 @@ def ops_critical(age: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
 
 def apply_gravity(ops: Quantity, include: bool) -> Quantity:
     """Free gravitational degrees of freedom contribute a factor 2, no more."""
-    require(ops, DIMENSIONLESS, "ops", allow_zero=True)
+    f.environment(None, allow_zero=("ops",), ops=ops)
     if not include or ops.sign == 0:
         return ops
     return _new(Quantity, ops.sign, _LOG10_TWO + ops.log10, DIMENSIONLESS)
@@ -376,19 +372,20 @@ class Scenario(Record):
 
 
 def _years(years: Quantity, profile: ConstantsProfile) -> Quantity:
-    """A count of the profile's years as a time on ``TIME`` itself: the bits of years * year."""
-    return _new(Quantity, years.sign, years.log10 + get(profile, "year_seconds").log10, TIME)
+    """The profile's years as an age, on ``INPUT_DIMS["t"]`` itself: the bits of years * year."""
+    year = get(profile, "year_seconds")
+    return _new(Quantity, years.sign, years.log10 + year.log10, f.INPUT_DIMS["t"])
 
 
 def _reciprocal(age: Quantity) -> Quantity:
-    """1/t of a checked age t > 0, as a rate on ``RATE`` itself: the bits of ONE / age."""
-    return _new(Quantity, 1, 0.0 - age.log10, RATE)
+    """1/t of a checked age t > 0, on ``INPUT_DIMS["H"]`` itself: the bits of ONE / age."""
+    return _new(Quantity, 1, 0.0 - age.log10, f.INPUT_DIMS["H"])
 
 
 def paper_scenario(profile: ConstantsProfile = PAPER) -> Scenario:
     """ρ = 1e-27 kg/m³ at age 10^10 years, photons only, no gravity."""
     age = _years(make(PAPER_AGE_YEARS), profile)
-    return Scenario(rho=make(PAPER_RHO_KG_M3, MASS_DENSITY), age=age, profile=profile)
+    return Scenario(rho=f.given("rho", PAPER_RHO_KG_M3), age=age, profile=profile)
 
 
 class CapacityReport(Record):

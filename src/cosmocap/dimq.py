@@ -123,6 +123,9 @@ class Dimension:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"Dimension is immutable; cannot set {name!r}")
 
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Dimension is immutable; cannot delete {name!r}")
+
     def __reduce__(self):
         return Dimension, tuple(Fraction(n, self._den) for n in self._num)
 

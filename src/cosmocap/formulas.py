@@ -13,7 +13,9 @@ the public wrappers in ``constants``, ``cosmo``, ``bounds``, ``largenum``
 and ``baseline`` build one ``Quantity`` from the sum.  A wrapper, and a
 record of inputs (``SystemSpec``, ``Scenario``, ``FleetSpec``), passes its
 inputs to ``environment`` by parameter name, which checks them against
-``INPUT_DIMS``; no other module names an input's dimension.
+``INPUT_DIMS``, and ``given`` builds an input read as a number on that
+dimension; a test over the package's source checks that no other module
+names an input's dimension.
 
 A row of constants alone (the Planck scales, ħc/e², m_p/m_e, α and the
 anonymous products inside other rows) has one value per profile.  A
@@ -25,8 +27,8 @@ again, which would give the same float.
 Terms are listed in the order the Quantity arithmetic they replace
 multiplied, with a nested row wherever a product is raised to a power,
 so every output keeps its last bit: IEEE ``a + (-b)`` equals ``a - b``
-and ``x * 1.0`` equals ``x``.  A row for ``1/x`` starts from an explicit
-prefactor 1.0, so its sum starts at 0.0 and never yields -0.0.
+and ``x * 1.0`` equals ``x``.  A sum starts at the prefactor's log10 or at
+0.0, and ``0.0 + x`` is ``x`` to the bit but for -0.0, so no row yields -0.0.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from fractions import Fraction
 
 from .dimq import (
     AREA, DIMENSIONLESS, ENERGY, ENTROPY, LENGTH, MASS, MASS_DENSITY, RATE, TEMPERATURE, TIME,
-    VOLUME, Dimension, DimensionError, Quantity, _new, require,
+    VOLUME, Dimension, DimensionError, Quantity, _new, make, require,
 )
 
 # dimension each registered constant must carry
@@ -58,6 +60,7 @@ INPUT_DIMS: dict[str, Dimension] = {
     "rho": MASS_DENSITY, "t": TIME, "t0": TIME, "H": RATE, "V": VOLUME, "S": ENTROPY,
     "E": ENERGY, "R": LENGTH, "A": AREA, "T": TEMPERATURE,
     "weight": DIMENSIONLESS,  # Σ n_eff of the species table
+    "ops": DIMENSIONLESS,  # an operation count, the input of cosmo.apply_gravity
     "tail": DIMENSIONLESS,  # 1 − √(t0/t1), the radiation-era window
     # the fields of a baseline.FleetSpec
     "n_computers": DIMENSIONLESS, "clock_rate": RATE, "ops_per_cycle": DIMENSIONLESS,
@@ -70,8 +73,8 @@ _SYMBOL_DIMS = {**REQUIRED_DIMS, **INPUT_DIMS}
 PARAMETER_SYMBOLS: dict[str, str] = {
     "rho": "rho", "age": "t", "t": "t", "t1": "t", "t0": "t0", "hubble": "H", "energy": "E",
     "e1": "E", "entropy": "S", "radius": "R", "area": "A", "temperature": "T", "volume": "V",
-    **{field: field for field in ("n_computers", "clock_rate", "ops_per_cycle", "duration",
-                                  "bits_per_computer")},  # a FleetSpec field is its own symbol
+    **{name: name for name in ("ops", "n_computers", "clock_rate", "ops_per_cycle", "duration",
+                               "bits_per_computer")},  # ops, and each FleetSpec field, is its own
 }
 
 
@@ -101,8 +104,7 @@ class Monomial:
         self.constant = all(
             t.constant if isinstance(t, Monomial) else t in REQUIRED_DIMS for t, _ in self.terms
         )
-        # None without a prefactor: the sum then starts at the first term itself
-        self._start = None if prefactor is None else math.log10(prefactor)
+        self._start = 0.0 if prefactor is None else math.log10(prefactor)
         # a nested row of constants alone is looked up in env, like a symbol
         self._steps = tuple(
             (t, None, float(e)) if not isinstance(t, Monomial) or t.constant
@@ -114,8 +116,7 @@ class Monomial:
         """The row's log10 from the log10 in ``env`` of each symbol and nested constant row."""
         total = self._start
         for symbol, row, exponent in self._steps:
-            x = (env[symbol] if row is None else row.log10(env)) * exponent
-            total = x if total is None else total + x
+            total += (env[symbol] if row is None else row.log10(env)) * exponent
         return total
 
     def quantity(self, env: Mapping[object, float]) -> Quantity:
@@ -147,6 +148,11 @@ def environment(
         require(q, INPUT_DIMS[symbol], name, allow_zero=name in allow_zero)
         env[symbol] = q.log10
     return env
+
+
+def given(name: str, value: float) -> Quantity:
+    """``value`` as a Quantity of public parameter ``name``'s ``INPUT_DIMS`` dimension."""
+    return make(value, INPUT_DIMS[PARAMETER_SYMBOLS[name]])
 
 
 _HALF, _QUARTER = Fraction(1, 2), Fraction(1, 4)
@@ -202,7 +208,7 @@ GAMMA = Monomial(DIMENSIONLESS, (_BARYONS, _HALF))
 
 # -- bounds -----------------------------------------------------------
 MAX_OPS_PER_SEC = Monomial(RATE, "E", ("hbar", -1), prefactor=2.0 / math.pi)
-MIN_FLIP_TIME = Monomial(TIME, (MAX_OPS_PER_SEC, -1), prefactor=1.0)
+MIN_FLIP_TIME = Monomial(TIME, (MAX_OPS_PER_SEC, -1))
 MAX_BITS = Monomial(DIMENSIONLESS, "S", (Monomial(ENTROPY, "k_B", prefactor=math.log(2.0)), -1))
 MAX_IO_RATE = Monomial(RATE, "c", "S", (Monomial(ENTROPY * LENGTH, "k_B", "R"), -1))
 _HBAR_C_S = Monomial(ENERGY * LENGTH * ENTROPY, "hbar", "c", "S")

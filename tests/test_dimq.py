@@ -228,6 +228,9 @@ def test_dimension_is_immutable_and_round_trips():
         dim.length = Fraction(1)
     with pytest.raises(AttributeError):
         dim.extra = 1
+    for name in ("_num", "_den", "length"):  # on this fresh dim, so no shared constant is spoilt
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(dim, name)
     assert eval(repr(dim), {"Dimension": Dimension, "Fraction": Fraction}) == dim
     assert copy.deepcopy(dim) == dim and pickle.loads(pickle.dumps(dim)) == dim
 

@@ -13,6 +13,7 @@ of domain inputs, whose terms reach about 1200 decades (t⁴ with t near
 1e300, or a horizon energy), where adjacent doubles are 2.3e-13 apart.
 """
 
+import ast
 import json
 import math
 from fractions import Fraction
@@ -23,7 +24,9 @@ import mpmath
 import pytest
 
 from cosmocap import CODATA, PAPER, formulas as f, load_profile
-from cosmocap.dimq import DIMENSIONLESS, ENERGY, RATE, TIME, Dimension, DimensionError, make
+from cosmocap.dimq import (
+    DIMENSIONLESS, ENERGY, RATE, TIME, Dimension, DimensionError, InputError, make,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -81,9 +84,9 @@ def test_a_row_with_the_wrong_dimension_cannot_be_built(declared, terms):
 
 
 def test_a_reciprocal_row_never_yields_negative_zero():
-    # 1/x from a prefactor 1.0 starts at log10(1.0) = 0.0, as ONE / x did
+    # every sum starts at the prefactor's log10 or at 0.0, and 0.0 + -0.0 is +0.0, as ONE / x is
     assert math.copysign(1.0, f.Monomial(RATE, ("t", -1), prefactor=1.0).log10({"t": 0.0})) == 1.0
-    assert math.copysign(1.0, f.Monomial(RATE, ("t", -1)).log10({"t": 0.0})) == -1.0
+    assert math.copysign(1.0, f.Monomial(RATE, ("t", -1)).log10({"t": 0.0})) == 1.0
 
 
 def test_each_parameter_name_fills_an_input_symbol():
@@ -91,6 +94,48 @@ def test_each_parameter_name_fills_an_input_symbol():
     assert f.environment(None, t1=make(1e3, TIME), e1=make(1e2, ENERGY)) == {"t": 3.0, "E": 2.0}
     env = f.environment(PAPER)
     assert env == PAPER._log10s and env is not PAPER._log10s  # callers add to their copy
+
+
+def test_given_builds_each_parameter_on_its_input_dimension():
+    for name, symbol in f.PARAMETER_SYMBOLS.items():
+        q = f.given(name, 1e3)
+        assert (q.sign, q.log10) == (1, 3.0) and q.dimension is f.INPUT_DIMS[symbol]
+    assert f.given("t0", 0.0) == make(0.0, TIME)  # the check of the sign is environment's
+    with pytest.raises(InputError, match="value must be finite, got nan"):
+        f.given("rho", math.nan)
+
+
+# the dimensions dimq names; any other module takes an input's from INPUT_DIMS or given
+NAMED_DIMENSIONS = {"AREA", "CHARGE2", "ENERGY", "ENTROPY", "LENGTH", "MASS", "MASS_DENSITY",
+                    "RATE", "TEMPERATURE", "TIME", "VOLUME"}
+SOURCES = sorted(Path(f.__file__).parent.glob("*.py"))
+
+
+def _names_in(path):
+    """Every name a module imports, reads bare, or reads as an attribute."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_only_dimq_and_formulas_name_a_dimension_and_only_constants_requires():
+    assert {path.name for path in SOURCES} >= {"dimq.py", "formulas.py", "constants.py", "cli.py"}
+    named, requiring = {}, set()
+    for path in SOURCES:
+        if path.name in ("dimq.py", "formulas.py"):
+            continue
+        names = set(_names_in(path))
+        if names & NAMED_DIMENSIONS:
+            named[path.name] = sorted(names & NAMED_DIMENSIONS)
+        if "require" in names:
+            requiring.add(path.name)
+    assert named == {}
+    # a profile's constants are checked against REQUIRED_DIMS, every other input by environment
+    assert requiring == {"constants.py"}
 
 
 def _nested(row):
