@@ -9,7 +9,7 @@ short of what the universe's matter could do.
 from __future__ import annotations
 
 from . import formulas as f
-from .dimq import Quantity, Record, scalar, zero
+from .dimq import Quantity, Record, zero
 
 __all__ = ["FleetSpec", "default_fleet", "fleet_bits", "fleet_ops", "historical_ops"]
 
@@ -57,4 +57,4 @@ def _fleet_row(row: f.Monomial, fleet: FleetSpec) -> Quantity:
 
 def historical_ops(fleet: FleetSpec) -> Quantity:
     """All computation ever: about twice the recent-era figure."""
-    return scalar(2.0) * fleet_ops(fleet)
+    return _fleet_row(f.HISTORICAL_OPS, fleet)

@@ -25,7 +25,7 @@ import math
 
 from . import formulas as f
 from .constants import PAPER, ConstantsProfile
-from .dimq import Quantity, Record, _new, zero
+from .dimq import Quantity, Record, zero
 
 __all__ = [
     "BekensteinResult",
@@ -121,10 +121,10 @@ class SystemSpec(Record):
         f.environment(None, energy=self.energy, entropy=self.entropy, radius=self.radius, **area)
 
     def effective_area(self) -> Quantity:
-        """The area, or R² on ``INPUT_DIMS["A"]`` itself: the bits of ``radius**2``."""
+        """The area, or R² (the ``DEFAULT_AREA`` row) of the checked radius."""
         if self.area is not None:
             return self.area
-        return _new(Quantity, 1, self.radius.log10 * 2.0, f.INPUT_DIMS["A"])  # radius > 0, checked
+        return f.DEFAULT_AREA.quantity({"R": self.radius.log10})
 
 
 class SystemLimits(Record):

@@ -50,7 +50,7 @@ from .dimq import (
     read_json_object,
     scalar,
 )
-from .formulas import environment, given
+from .formulas import DEFAULT_HUBBLE, environment, given
 from .largenum import identities
 
 __all__ = ["main"]
@@ -402,12 +402,12 @@ def cmd_epoch_inflation(args: argparse.Namespace) -> Table:
 def cmd_large_numbers(args: argparse.Namespace) -> Table:
     profile = _profile_from_flag(args)
     age = cosmo._years(make(args.age_years), profile)
-    environment(None, age=age)  # before the default density divides by it
+    env = environment(None, age=age)  # before the default density divides by it
     if args.rho is not None:
         rho = given("rho", args.rho)
     else:
         # default: critical density, where all three residuals sit at 1
-        rho = cosmo.critical_density(cosmo._reciprocal(age), "approx", profile)
+        rho = cosmo.critical_density(DEFAULT_HUBBLE.quantity(env), "approx", profile)
     report = identities(rho, age, profile)
     rows = [_text("rho: {}, age: {}", rho, age)]
     for name, text, style in _LARGE_NUMBERS:

@@ -33,7 +33,6 @@ from fractions import Fraction
 from . import formulas as f
 from .constants import PAPER, ConstantsProfile, get
 from .dimq import (
-    DIMENSIONLESS,
     InputError,
     LogInterval,
     Quantity,
@@ -76,8 +75,6 @@ __all__ = [
 ]
 
 _LN10 = math.log(10.0)
-_LOG10_TWO = math.log10(2.0)
-_TRANSITION_YEARS = make(7.0e5)  # the matter-radiation transition of every scenario
 # n_eff per polarization state and particle, in eighths: 1 for a boson, 7/8 for a fermion
 _EIGHTHS = {"boson": 8, "fermion": 7}
 
@@ -192,10 +189,10 @@ def ops_critical(age: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
 
 def apply_gravity(ops: Quantity, include: bool) -> Quantity:
     """Free gravitational degrees of freedom contribute a factor 2, no more."""
-    f.environment(None, allow_zero=("ops",), ops=ops)
+    env = f.environment(None, allow_zero=("ops",), ops=ops)
     if not include or ops.sign == 0:
         return ops
-    return _new(Quantity, ops.sign, _LOG10_TWO + ops.log10, DIMENSIONLESS)
+    return f.OPS_WITH_GRAVITY.quantity(env)
 
 
 def d_factor(species: SpeciesTable) -> Quantity:
@@ -290,7 +287,7 @@ def ops_radiation(
     gap = -math.inf if t0.sign == 0 else t0.log10 - t1.log10
     tail = -math.expm1(0.5 * _LN10 * gap)
     if tail == 0:
-        return zero(DIMENSIONLESS)
+        return zero(f.OPS_RADIATION.dimension)
     env["tail"] = math.log10(tail)
     return f.OPS_RADIATION.quantity(env)
 
@@ -350,36 +347,32 @@ def inflation_total_ops(growth: LogInterval) -> LogInterval:
 
 
 class Scenario(Record):
-    """Inputs for a capacity report.  H defaults to 1/t; the transition to the
-    radiation epoch is derived, 7e5 of the profile's years (report metadata only)."""
+    """Inputs for a capacity report.  H defaults to 1/t; the transition to the radiation
+    epoch is a row of the profile's constants, 7e5 years (report metadata only)."""
 
     __slots__ = ("rho", "age", "hubble", "species", "include_gravity", "profile",
-                 "inflation_growth", "matter_radiation_transition")
-    _fields = __slots__[:-1]
+                 "inflation_growth")
     _defaults = {"hubble": None, "species": PHOTONS_ONLY, "include_gravity": False,
                  "profile": PAPER, "inflation_growth": None}
 
     def _check(self) -> None:
+        hubble = {} if self.hubble is None else {"hubble": self.hubble}
+        env = f.environment(None, rho=self.rho, age=self.age, **hubble)
         if self.hubble is None:  # 1/t of the checked age: a rate > 0 by construction
-            f.environment(None, rho=self.rho, age=self.age)
-            object.__setattr__(self, "hubble", _reciprocal(self.age))
-        else:
-            f.environment(None, rho=self.rho, age=self.age, hubble=self.hubble)
+            object.__setattr__(self, "hubble", f.DEFAULT_HUBBLE.quantity(env))
         if not isinstance(self.species, SpeciesTable):
             raise TypeError("species must be a SpeciesTable")
-        transition = _years(_TRANSITION_YEARS, self.profile)
-        object.__setattr__(self, "matter_radiation_transition", transition)
+
+    @property
+    def matter_radiation_transition(self) -> Quantity:
+        """7e5 of the profile's years, a row of its constants alone."""
+        return f.MATTER_RADIATION_TRANSITION.quantity(self.profile._log10s)
 
 
 def _years(years: Quantity, profile: ConstantsProfile) -> Quantity:
     """The profile's years as an age, on ``INPUT_DIMS["t"]`` itself: the bits of years * year."""
     year = get(profile, "year_seconds")
     return _new(Quantity, years.sign, years.log10 + year.log10, f.INPUT_DIMS["t"])
-
-
-def _reciprocal(age: Quantity) -> Quantity:
-    """1/t of a checked age t > 0, on ``INPUT_DIMS["H"]`` itself: the bits of ONE / age."""
-    return _new(Quantity, 1, 0.0 - age.log10, f.INPUT_DIMS["H"])
 
 
 def paper_scenario(profile: ConstantsProfile = PAPER) -> Scenario:

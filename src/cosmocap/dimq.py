@@ -641,6 +641,9 @@ class LogInterval(Record):
             raise InputError(
                 f"halfwidth must be finite and >= 0, got {self.halfwidth!r}"
             )
+        for name, value in zip(self._fields, self._values()):
+            if value == 0 and math.copysign(1.0, value) < 0:  # -0.0 would print as "-0"
+                object.__setattr__(self, name, 0.0)
 
     def __str__(self) -> str:
         return f"10^{{{self.center:g}±{self.halfwidth:g}}}"

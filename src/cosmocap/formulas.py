@@ -8,21 +8,21 @@ and constants raised to fixed rational powers, e.g.
 so its log10 is the prefactor's log10 plus a weighted sum of its terms'
 log10, and its dimension is fixed by the terms alone.  A ``Monomial``
 checks that dimension once, when the row is built at import, against
-``REQUIRED_DIMS`` and ``INPUT_DIMS``; a call then adds plain floats and
-the public wrappers in ``constants``, ``cosmo``, ``bounds``, ``largenum``
-and ``baseline`` build one ``Quantity`` from the sum.  A wrapper, and a
-record of inputs (``SystemSpec``, ``Scenario``, ``FleetSpec``), passes its
-inputs to ``environment`` by parameter name, which checks them against
-``INPUT_DIMS``, and ``given`` builds an input read as a number on that
-dimension; a test over the package's source checks that no other module
-names an input's dimension.
+``REQUIRED_DIMS`` and ``INPUT_DIMS``; a call adds plain floats, and a
+public wrapper builds one ``Quantity`` from the sum.  Defaults and
+factors (H = 1/t, R², gravity's 2, the 7e5-year transition) are rows too.
+A wrapper or record passes its inputs to ``environment`` by parameter
+name, which checks them against ``INPUT_DIMS``; ``given`` builds an input
+read as a number on that dimension.  Tests over the source check that no
+other module names an input's dimension, and that outside ``dimq`` only
+``cosmo._years`` and the large-number residuals call ``dimq._new``.
 
-A row of constants alone (the Planck scales, ħc/e², m_p/m_e, α and the
-anonymous products inside other rows) has one value per profile.  A
-``ConstantsProfile`` evaluates each such row once, when it is built,
-into its log10 table (``profile_table``), keyed by the row itself; a
-row that nests one reads its value from there instead of evaluating it
-again, which would give the same float.
+A row of constants alone (the Planck scales, ħc/e², m_p/m_e, α, the
+transition and the anonymous products inside other rows) has one value
+per profile.  A ``ConstantsProfile`` evaluates each such row once, when
+it is built, into its log10 table (``profile_table``), keyed by the row
+itself; a row that nests one reads its value from there instead of
+evaluating it again, which would give the same float.
 
 Terms are listed in the order the Quantity arithmetic they replace
 multiplied, with a nested row wherever a product is raised to a power,
@@ -89,11 +89,10 @@ class Monomial:
     ``profile_table`` puts each of ``CONSTANT_ROWS``.
     """
 
-    __slots__ = ("dimension", "prefactor", "terms", "constant", "_start", "_steps")
+    __slots__ = ("dimension", "terms", "constant", "_start", "_steps")
 
     def __init__(self, dimension: Dimension, *terms, prefactor: float | None = None):
         self.dimension = dimension
-        self.prefactor = prefactor
         self.terms = tuple(term if isinstance(term, tuple) else (term, 1) for term in terms)
         found = DIMENSIONLESS
         for term, exponent in self.terms:
@@ -167,6 +166,9 @@ MASS_RATIO = Monomial(DIMENSIONLESS, "m_p", ("m_e", -1))
 HORIZON_VOLUME = Monomial(VOLUME, (Monomial(LENGTH, "c", "t"), 3))
 OPS_MATTER = Monomial(DIMENSIONLESS, "rho", ("c", 5), ("t", 4), ("hbar", -1))
 OPS_CRITICAL = Monomial(DIMENSIONLESS, (Monomial(DIMENSIONLESS, "t", (PLANCK_TIME, -1)), 2))
+OPS_WITH_GRAVITY = Monomial(DIMENSIONLESS, "ops", prefactor=2.0)
+DEFAULT_HUBBLE = Monomial(RATE, ("t", -1))  # H = 1/t when a scenario gives none
+MATTER_RADIATION_TRANSITION = Monomial(TIME, "year_seconds", prefactor=7.0e5)
 CRITICAL_DENSITY = Monomial(MASS_DENSITY, ("H", 2), ("G", -1), prefactor=3.0 / (8.0 * math.pi))
 CRITICAL_DENSITY_APPROX = Monomial(MASS_DENSITY, ("H", 2), ("G", -1))
 D_FACTOR = Monomial(DIMENSIONLESS, "weight", prefactor=math.pi**2 / 30.0)
@@ -214,10 +216,12 @@ MAX_IO_RATE = Monomial(RATE, "c", "S", (Monomial(ENTROPY * LENGTH, "k_B", "R"), 
 _HBAR_C_S = Monomial(ENERGY * LENGTH * ENTROPY, "hbar", "c", "S")
 BEKENSTEIN_RATIO = Monomial(DIMENSIONLESS, "k_B", "E", "R", (_HBAR_C_S, -1))
 HOLOGRAPHIC_BITS = Monomial(DIMENSIONLESS, "A", (PLANCK_LENGTH, -2))
+DEFAULT_AREA = Monomial(AREA, ("R", 2))  # a bare R², no 4π
 
 # -- baseline ---------------------------------------------------------
 FLEET_OPS = Monomial(DIMENSIONLESS, "n_computers", "clock_rate", "ops_per_cycle", "duration")
 FLEET_BITS = Monomial(DIMENSIONLESS, "n_computers", "bits_per_computer")
+HISTORICAL_OPS = Monomial(DIMENSIONLESS, FLEET_OPS, prefactor=2.0)
 
 
 def _rows_within(row: Monomial):

@@ -44,6 +44,11 @@ def test_historical_ops_doubles_the_fleet():
     assert ratio.to_value() == pytest.approx(2.0, rel=1e-12)
 
 
+def test_historical_ops_is_a_row_on_the_dimensionless_object_itself():
+    # a row's dimension is fixed at import; Quantity arithmetic built a fresh one per call
+    assert historical_ops(default_fleet()).dimension is DIMENSIONLESS
+
+
 @given(counts, counts)
 def test_ops_are_multilinear(n, clock):
     base = FleetSpec.from_counts(1.0, 1.0, 1e5, 1e8, 1e12)

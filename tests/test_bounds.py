@@ -203,6 +203,12 @@ def test_system_spec_defaults_area_to_radius_squared():
     assert spec.effective_area().dimension is AREA
 
 
+def test_default_area_of_a_radius_of_log10_negative_zero_is_positive_zero():
+    # R² is a row, and no row yields -0.0
+    spec = SystemSpec(make(1.0, ENERGY), make(1e-20, ENTROPY), Quantity(1, -0.0, LENGTH))
+    assert math.copysign(1.0, spec.effective_area().log10) == 1.0
+
+
 def test_system_spec_validation():
     with pytest.raises(ValueError):
         SystemSpec(

@@ -144,7 +144,7 @@ def test_matter_epoch_commands_check_each_input_once(argv):
     assert _calls(_profiled(lambda: _quiet_main(argv)), dimq.require.__code__) == 3
 
 
-# Monomial.log10 calls, nested rows included, in one paper report: 25.
+# Monomial.log10 calls, nested rows included, in one paper report: 26.
 # A row of constants alone is evaluated once per profile, when the
 # profile is built, so a report reads α, ħc/e², m_p/m_e and the Planck
 # scales from its environment (40 calls when each was evaluated again).
@@ -157,7 +157,7 @@ def test_full_report_evaluates_few_rows():
 
 
 # Quantity constructions in one full_report of a prebuilt paper scenario:
-# one per table row the report shows, 14 in all, since bits_holographic is
+# one per table row the report shows, 15 in all, since bits_holographic is
 # the ops_critical value and ops_with_gravity the ops_matter value when
 # gravity is off.  Every construction runs Quantity.__new__.
 MAX_QUANTITIES_PER_REPORT = 30

@@ -654,6 +654,20 @@ def test_growth_band_too_wide_to_square_exits_three(run_cli):
     assert "does not fit in a float" in err
 
 
+def test_a_growth_band_of_negative_zero_shows_and_encodes_zero(run_cli):
+    # LogInterval stores a -0.0 center or halfwidth as 0.0, so no band reads "-0"
+    code, out, err = run_cli(["epoch", "inflation", "--growth", "10:-0"])
+    assert (code, err) == (0, "") and "total ops across growth: 10^{20±0}\n" in out
+    code, out, _ = run_cli(["epoch", "inflation", "--growth", "10:-0", "--json"])
+    assert code == 0 and '"center": 20.0,' in out and '"halfwidth": 0.0,' in out
+    code, out, _ = run_cli(["epoch", "inflation", "--growth=-0:-0"])
+    assert code == 0 and "total ops across growth: 10^{0±0}\n" in out
+    code, out, _ = run_cli(["epoch", "inflation", "--growth=-0:-0", "--json"])
+    total = json.loads(out)["total_ops"]
+    assert code == 0 and '"center": 0.0,' in out and '"halfwidth": 0.0,' in out
+    assert math.copysign(1.0, total["center"]) == math.copysign(1.0, total["halfwidth"]) == 1.0
+
+
 def test_t0_zero_spellings_still_mean_zero(run_cli):
     base = ["epoch", "radiation", "--E1-ratio", "1", "--t1", "1", "--t0"]
     outputs = [run_cli([*base, zero]) for zero in ("0", "0.0", "-0", "0e-400")]

@@ -8,6 +8,7 @@ importing the CLI loads none of the modules the base replaced.
 
 import copy
 import json
+import math
 import os
 import pickle
 import subprocess
@@ -172,6 +173,21 @@ def test_defaults_apply():
     assert scenario.hubble == paper_scenario().hubble
     assert scenario.matter_radiation_transition.log10 == pytest.approx(13.34, abs=0.01)
     assert len(Scenario._fields) == 7 and "matter_radiation_transition" not in Scenario._fields
+
+
+def test_a_scenario_keeps_its_fields_alone():
+    # the transition is a row of the profile, read by a property, not a derived slot
+    assert Scenario._fields == Scenario.__slots__
+
+
+def test_a_growth_band_stores_negative_zero_as_zero_and_keeps_every_other_value():
+    band = LogInterval(-0.0, -0.0)
+    assert math.copysign(1.0, band.center) == math.copysign(1.0, band.halfwidth) == 1.0
+    assert str(band) == "10^{0±0}"
+    for center, halfwidth in ((0, 0), (10, 6), (-3.5, 0.0), (0.0, 2)):
+        band = LogInterval(center, halfwidth)
+        assert (band.center, band.halfwidth) == (center, halfwidth)
+        assert (type(band.center), type(band.halfwidth)) == (type(center), type(halfwidth))
 
 
 def test_equal_values_compare_and_hash_equal():
