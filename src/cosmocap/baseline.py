@@ -52,7 +52,7 @@ def fleet_bits(fleet: FleetSpec) -> Quantity:
 def _fleet_row(row: f.Monomial, fleet: FleetSpec) -> Quantity:
     if fleet.n_computers.sign == 0:  # an empty fleet computes and holds nothing
         return zero(row.dimension)
-    return row.quantity({name: getattr(fleet, name).log10 for name in FleetSpec.__slots__})
+    return row.quantity(f.record_environment(None, **dict(zip(fleet._fields, fleet._values()))))
 
 
 def historical_ops(fleet: FleetSpec) -> Quantity:

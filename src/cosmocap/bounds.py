@@ -124,7 +124,7 @@ class SystemSpec(Record):
         """The area, or R² (the ``DEFAULT_AREA`` row) of the checked radius."""
         if self.area is not None:
             return self.area
-        return f.DEFAULT_AREA.quantity({"R": self.radius.log10})
+        return f.DEFAULT_AREA.quantity(f.record_environment(None, radius=self.radius))
 
 
 class SystemLimits(Record):
@@ -134,9 +134,8 @@ class SystemLimits(Record):
 
 def system_limits(spec: SystemSpec, profile: ConstantsProfile = PAPER) -> SystemLimits:
     """All five limits for one system in a single pass."""
-    # the spec's fields were checked when it was built
-    env = {**profile._log10s, "E": spec.energy.log10, "S": spec.entropy.log10,
-           "R": spec.radius.log10, "A": spec.effective_area().log10}
+    env = f.record_environment(profile, energy=spec.energy, entropy=spec.entropy,
+                               radius=spec.radius, area=spec.effective_area())
     return SystemLimits(  # by position, which skips Record._arguments
         f.MAX_OPS_PER_SEC.quantity(env),
         f.MIN_FLIP_TIME.quantity(env),

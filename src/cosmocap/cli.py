@@ -50,7 +50,7 @@ from .dimq import (
     read_json_object,
     scalar,
 )
-from .formulas import DEFAULT_HUBBLE, environment, given
+from .formulas import DEFAULT_DENSITY, environment, given
 from .largenum import identities
 
 __all__ = ["main"]
@@ -402,12 +402,9 @@ def cmd_epoch_inflation(args: argparse.Namespace) -> Table:
 def cmd_large_numbers(args: argparse.Namespace) -> Table:
     profile = _profile_from_flag(args)
     age = cosmo._years(make(args.age_years), profile)
-    env = environment(None, age=age)  # before the default density divides by it
-    if args.rho is not None:
-        rho = given("rho", args.rho)
-    else:
-        # default: critical density, where all three residuals sit at 1
-        rho = cosmo.critical_density(DEFAULT_HUBBLE.quantity(env), "approx", profile)
+    env = environment(profile, age=age)  # before the default density divides by it
+    # default: critical density 1/(Gt²), where all three residuals sit at 1
+    rho = DEFAULT_DENSITY.quantity(env) if args.rho is None else given("rho", args.rho)
     report = identities(rho, age, profile)
     rows = [_text("rho: {}, age: {}", rho, age)]
     for name, text, style in _LARGE_NUMBERS:
@@ -440,9 +437,8 @@ def cmd_constants(args: argparse.Namespace) -> Table:
 
 
 def cmd_manmade(args: argparse.Namespace) -> Table:
-    fleet = baseline.default_fleet()
-    if args.scenario is not None:  # read as report reads it, so refused the same way
-        _, fleet = _load_scenario(args.scenario, None)
+    # read as report reads it, so refused the same way; every default without a file
+    _, fleet = _load_scenario(args.scenario, None)
     ops, historical = baseline.fleet_ops(fleet), baseline.historical_ops(fleet)
     rows = [
         _row("ops (recent era):  {}", ("ops", ops, _headline)),

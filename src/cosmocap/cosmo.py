@@ -197,7 +197,7 @@ def apply_gravity(ops: Quantity, include: bool) -> Quantity:
 
 def d_factor(species: SpeciesTable) -> Quantity:
     """(π²/30)·Σ n_eff, the blackbody entropy prefactor."""
-    return f.D_FACTOR.quantity({"weight": species.log10_weight()})
+    return f.D_FACTOR.quantity(f.environment(None, species=species))
 
 
 def blackbody_temperature(
@@ -209,9 +209,7 @@ def blackbody_temperature(
     entirely to relativistic particles, i.e. the maximum-entropy state.
     About 18 K for today's ~1e-27 kg/m³ with photons alone.
     """
-    env = f.environment(profile, rho=rho)
-    env["weight"] = species.log10_weight()
-    return f.BLACKBODY_TEMPERATURE.quantity(env)
+    return f.BLACKBODY_TEMPERATURE.quantity(f.environment(profile, species=species, rho=rho))
 
 
 def entropy_density(
@@ -233,8 +231,7 @@ def entropy_in_volume(
     blackbody temperature times V.  Reports use this form; entropy_density
     is the public per-volume form and nothing in the package calls it.
     """
-    env = f.environment(profile, rho=rho, volume=volume)
-    env["weight"] = species.log10_weight()
+    env = f.environment(profile, species=species, rho=rho, volume=volume)
     return f.ENTROPY_IN_VOLUME.quantity(env)
 
 
@@ -249,10 +246,8 @@ def bits_matter(
     Equal to (4/(3 ln 2)) D^{1/4} ops_matter^{3/4} by construction; the
     3/4 power is why ~10^120 ops ride on only ~10^90 bits.
     """
-    env = f.environment(profile, rho=rho, age=age)
-    env["weight"] = species.log10_weight()
-    env["V"] = f.HORIZON_VOLUME.log10(env)
-    env["S"] = f.ENTROPY_IN_VOLUME.log10(env)
+    env = f.environment(profile, species=species, rho=rho, age=age)
+    env["S"] = f.HORIZON_ENTROPY.log10(env)
     return f.MAX_BITS.quantity(env)
 
 
@@ -362,6 +357,12 @@ class Scenario(Record):
             object.__setattr__(self, "hubble", f.DEFAULT_HUBBLE.quantity(env))
         if not isinstance(self.species, SpeciesTable):
             raise TypeError("species must be a SpeciesTable")
+        if not isinstance(self.include_gravity, bool):
+            raise TypeError("include_gravity must be a bool")
+        if not isinstance(self.profile, ConstantsProfile):
+            raise TypeError("profile must be a ConstantsProfile")
+        if not (self.inflation_growth is None or isinstance(self.inflation_growth, LogInterval)):
+            raise TypeError("inflation_growth must be None or a LogInterval")
 
     @property
     def matter_radiation_transition(self) -> Quantity:
@@ -397,17 +398,10 @@ def full_report(scenario: Scenario) -> CapacityReport:
     (bitwise) outputs.  Every value comes from one table row evaluated
     on one log10 environment, the same rows the public functions use.
     """
-    # the scenario's fields were checked when it was built
-    env = {
-        **scenario.profile._log10s,
-        "rho": scenario.rho.log10,
-        "t": scenario.age.log10,
-        "H": scenario.hubble.log10,
-        "weight": scenario.species.log10_weight(),
-    }
-    env["V"] = f.HORIZON_VOLUME.log10(env)
-    entropy = f.ENTROPY_IN_VOLUME.quantity(env)
-    env["S"] = entropy.log10
+    env = f.record_environment(scenario.profile, species=scenario.species, rho=scenario.rho,
+                               age=scenario.age, hubble=scenario.hubble)
+    entropy = f.HORIZON_ENTROPY.quantity(env)
+    env["S"] = entropy.log10  # for MAX_BITS, without evaluating the entropy's rows again
     ops = f.OPS_MATTER.quantity(env)
     # bits_holographic is the ops_critical value itself
     ops_c = f.OPS_CRITICAL.quantity(env)

@@ -9,13 +9,15 @@ so its log10 is the prefactor's log10 plus a weighted sum of its terms'
 log10, and its dimension is fixed by the terms alone.  A ``Monomial``
 checks that dimension once, when the row is built at import, against
 ``REQUIRED_DIMS`` and ``INPUT_DIMS``; a call adds plain floats, and a
-public wrapper builds one ``Quantity`` from the sum.  Defaults and
-factors (H = 1/t, R², gravity's 2, the 7e5-year transition) are rows too.
-A wrapper or record passes its inputs to ``environment`` by parameter
-name, which checks them against ``INPUT_DIMS``; ``given`` builds an input
-read as a number on that dimension.  Tests over the source check that no
-other module names an input's dimension, and that outside ``dimq`` only
-``cosmo._years`` and the large-number residuals call ``dimq._new``.
+public wrapper builds one ``Quantity`` from the sum.  Defaults and derived
+inputs (H = 1/t, 1/(Gt²), R², gravity's 2, the 7e5-year transition, the
+horizon's entropy) are rows too.  ``environment`` checks a wrapper's inputs
+by parameter name against ``INPUT_DIMS`` and files each under the symbol
+``PARAMETER_SYMBOLS`` names; ``record_environment`` files a record's checked
+fields, and ``given`` builds an input read as a number.  Tests over the
+source check that no other module names an input's dimension or writes its
+symbol (an entropy memo and the radiation tail aside), and that outside
+``dimq`` only ``cosmo._years`` and the residuals call ``dimq._new``.
 
 A row of constants alone (the Planck scales, ħc/e², m_p/m_e, α, the
 transition and the anonymous products inside other rows) has one value
@@ -69,7 +71,7 @@ INPUT_DIMS: dict[str, Dimension] = {
 
 _SYMBOL_DIMS = {**REQUIRED_DIMS, **INPUT_DIMS}
 
-# the symbol each public parameter name fills when passed to environment
+# the symbol each public parameter name fills, in environment and record_environment
 PARAMETER_SYMBOLS: dict[str, str] = {
     "rho": "rho", "age": "t", "t": "t", "t1": "t", "t0": "t0", "hubble": "H", "energy": "E",
     "e1": "E", "entropy": "S", "radius": "R", "area": "A", "temperature": "T", "volume": "V",
@@ -132,20 +134,33 @@ def profile_table(constants: Mapping[str, Quantity]) -> dict[object, float]:
 
 
 def environment(
-    profile, *, allow_zero: Collection[str] = (), **inputs: Quantity
+    profile, *, allow_zero: Collection[str] = (), species=None, **inputs: Quantity
 ) -> dict[object, float]:
     """The profile's log10 table (none for ``profile`` None), plus each input's log10 by symbol.
 
     ``inputs`` are quantities by parameter name, each checked in order for its
     symbol's ``INPUT_DIMS`` dimension and a value > 0, or >= 0 for a name in
-    ``allow_zero``; a refusal names the parameter.  This is the one check of
-    every public input that fills a row symbol.
+    ``allow_zero``; a refusal names the parameter.  A ``species`` table fills
+    ``weight`` after them, so a bad input is named before an empty table.
     """
+    # record_environment's fill lines, written again: calling it would cost every public call
     env = {} if profile is None else dict(profile._log10s)
     for name, q in inputs.items():
         symbol = PARAMETER_SYMBOLS[name]
         require(q, INPUT_DIMS[symbol], name, allow_zero=name in allow_zero)
         env[symbol] = q.log10
+    if species is not None:
+        env["weight"] = species.log10_weight()
+    return env
+
+
+def record_environment(profile, *, species=None, **fields: Quantity) -> dict[object, float]:
+    """``environment`` unchecked, for a record's fields, which were checked when it was built."""
+    env = {} if profile is None else dict(profile._log10s)
+    for name, q in fields.items():
+        env[PARAMETER_SYMBOLS[name]] = q.log10
+    if species is not None:
+        env["weight"] = species.log10_weight()
     return env
 
 
@@ -171,14 +186,16 @@ DEFAULT_HUBBLE = Monomial(RATE, ("t", -1))  # H = 1/t when a scenario gives none
 MATTER_RADIATION_TRANSITION = Monomial(TIME, "year_seconds", prefactor=7.0e5)
 CRITICAL_DENSITY = Monomial(MASS_DENSITY, ("H", 2), ("G", -1), prefactor=3.0 / (8.0 * math.pi))
 CRITICAL_DENSITY_APPROX = Monomial(MASS_DENSITY, ("H", 2), ("G", -1))
+DEFAULT_DENSITY = Monomial(MASS_DENSITY, (DEFAULT_HUBBLE, 2), ("G", -1))  # 1/(Gt²)
 D_FACTOR = Monomial(DIMENSIONLESS, "weight", prefactor=math.pi**2 / 30.0)
 _BATH = Monomial(ENERGY**4, ("hbar", 3), ("c", 5), "rho", (D_FACTOR, -1))
 BLACKBODY_TEMPERATURE = Monomial(TEMPERATURE, (_BATH, _QUARTER), ("k_B", -1))
 ENTROPY_DENSITY = Monomial(ENTROPY / VOLUME, "rho", ("c", 2), ("T", -1), prefactor=4.0 / 3.0)
 _RHO_C_HBAR = Monomial(AREA**-2, "rho", "c", ("hbar", -1))
-ENTROPY_IN_VOLUME = Monomial(
-    ENTROPY, "k_B", (D_FACTOR, _QUARTER), (_RHO_C_HBAR, Fraction(3, 4)), "V", prefactor=4.0 / 3.0
-)
+_BATH_ENTROPY_DENSITY = Monomial(ENTROPY / VOLUME, "k_B", (D_FACTOR, _QUARTER),  # S/V at ρ
+                                 (_RHO_C_HBAR, 3 * _QUARTER), prefactor=4.0 / 3.0)
+ENTROPY_IN_VOLUME = Monomial(ENTROPY, _BATH_ENTROPY_DENSITY, "V")
+HORIZON_ENTROPY = Monomial(ENTROPY, _BATH_ENTROPY_DENSITY, HORIZON_VOLUME)
 
 # -- cosmo: radiation epoch -------------------------------------------
 RADIATION_ENERGY_AT = Monomial(ENERGY, "E", (Monomial(DIMENSIONLESS, "t", ("t0", -1)), _HALF))

@@ -144,7 +144,7 @@ def test_matter_epoch_commands_check_each_input_once(argv):
     assert _calls(_profiled(lambda: _quiet_main(argv)), dimq.require.__code__) == 3
 
 
-# Monomial.log10 calls, nested rows included, in one paper report: 26.
+# Monomial.log10 calls, nested rows included, in one paper report: 27.
 # A row of constants alone is evaluated once per profile, when the
 # profile is built, so a report reads α, ħc/e², m_p/m_e and the Planck
 # scales from its environment (40 calls when each was evaluated again).

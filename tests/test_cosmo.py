@@ -137,7 +137,11 @@ def test_integer_weight_matches_the_fraction_sum(entries):
     if not entries:
         for call in (table.total_weight, table.log10_weight,
                      lambda: d_factor(table),
-                     lambda: bits_radiation(make(1.0, ENERGY), make(1.0, TEMPERATURE), table)):
+                     lambda: bits_radiation(make(1.0, ENERGY), make(1.0, TEMPERATURE), table),
+                     lambda: blackbody_temperature(RHO, table),
+                     lambda: entropy_in_volume(RHO, horizon_volume(age_today()), table),
+                     lambda: bits_matter(RHO, age_today(), table),
+                     lambda: full_report(Scenario(RHO, age_today(), species=table))):
             with pytest.raises(ValueError, match="empty"):
                 call()
         return
@@ -513,6 +517,18 @@ def test_scenario_validation():
         Scenario(rho=RHO, age=zero(TIME))
     with pytest.raises(TypeError):
         Scenario(rho=RHO, age=age_today(), species="photons")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("include_gravity", "no", "include_gravity must be a bool"),
+    ("include_gravity", 1, "include_gravity must be a bool"),
+    ("profile", "paper", "profile must be a ConstantsProfile"),
+    ("inflation_growth", (10.0, 6.0), "inflation_growth must be None or a LogInterval"),
+])
+def test_scenario_refuses_a_field_of_the_wrong_type(field, value, message):
+    # each would otherwise be built, and fail later or apply gravity to a truthy string
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        Scenario(rho=RHO, age=age_today(), **{field: value})
 
 
 def test_paper_scenario_round_numbers():

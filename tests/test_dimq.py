@@ -2,11 +2,13 @@ import copy
 import json
 import math
 import pickle
+import sys
 from fractions import Fraction
 from types import MappingProxyType
 
+import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cosmocap.dimq import (
     DEFAULT_TOLERANCE_DECADES,
@@ -486,15 +488,19 @@ def test_add_commutes(la, lb):
 
 
 @given(logs, logs)
+@example(0.0, 3.300674280242484e-17)  # 10.0**la - 10.0**lb rounds to 0.0; the truth is -7.6e-17
 def test_signed_add_consistent_with_floats(la, lb):
-    # both operands fit doubles here, so plain float math is the oracle
-    a, b = q(la), q(lb, sign=-1)
-    expected = 10.0**la - 10.0**lb
-    got = add(a, b)
-    if expected == 0.0:
-        assert got.is_zero
-    else:
-        assert got.to_value() == pytest.approx(expected, rel=1e-6)
+    # the oracle is 10^la - 10^lb at 50 digits, since a float difference
+    # rounds away the very digits a near-cancelling add keeps; add's error
+    # is at most a few units of 10^l in the last place, l = max(la, lb), and
+    # grows with |l|, whose rounding 10^l magnifies (1.12 eps (1 + |l|) 10^l
+    # was the worst of 300k near-cancelling draws)
+    got = add(q(la), q(lb, sign=-1))
+    with mpmath.workdps(50):
+        exact = mpmath.mpf(10) ** la - mpmath.mpf(10) ** lb
+        value = 0 if got.is_zero else got.sign * mpmath.mpf(10) ** got.log10
+        l = max(la, lb)
+        assert abs(value - exact) <= 4 * sys.float_info.epsilon * (1 + abs(l)) * mpmath.mpf(10) ** l
 
 
 # ---------------------------------------------------------------- approx_eq

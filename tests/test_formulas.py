@@ -47,10 +47,12 @@ EXPECTED_DIMS = {
     "MATTER_RADIATION_TRANSITION": Dimension(0, 0, 1),
     "CRITICAL_DENSITY": Dimension(-3, 1),
     "CRITICAL_DENSITY_APPROX": Dimension(-3, 1),
+    "DEFAULT_DENSITY": Dimension(-3, 1),
     "D_FACTOR": Dimension(),
     "BLACKBODY_TEMPERATURE": Dimension(0, 0, 0, 1),
     "ENTROPY_DENSITY": Dimension(-1, 1, -2, -1),
     "ENTROPY_IN_VOLUME": Dimension(2, 1, -2, -1),
+    "HORIZON_ENTROPY": Dimension(2, 1, -2, -1),
     "RADIATION_ENERGY_AT": Dimension(2, 1, -2),
     "OPS_RADIATION": Dimension(),
     "THERMAL_ENERGY": Dimension(2, 1, -2),
@@ -143,22 +145,28 @@ def test_only_dimq_and_formulas_name_a_dimension_and_only_constants_requires():
     assert requiring == {"constants.py"}
 
 
-def _referrers(path, name):
-    """Each 'module.function' or 'module.Class.method' of ``path`` that reads ``name``."""
-    found = set()
+def _scoped_nodes(path):
+    """Each node of ``path`` with its scope, 'module.function' or 'module.Class.method'."""
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}")
+                yield from visit(child, f"{scope}.{child.name}")
                 continue
-            if (isinstance(child, ast.Name) and child.id == name
-                    or isinstance(child, ast.Attribute) and child.attr == name):
-                found.add(scope)
-            visit(child, scope)
+            yield scope, child
+            yield from visit(child, scope)
 
-    visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    return found
+    return visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+
+
+def _read_name(node):
+    """The name ``node`` reads, bare or as an attribute; None for any other node."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _referrers(path, name):
+    """Each scope of ``path`` that reads ``name``."""
+    return {scope for scope, node in _scoped_nodes(path) if _read_name(node) == name}
 
 
 def test_outside_the_table_only_an_age_in_years_and_the_residuals_build_a_quantity_by_hand():
@@ -170,6 +178,41 @@ def test_outside_the_table_only_an_age_in_years_and_the_residuals_build_a_quanti
         if path.name not in ("dimq.py", "formulas.py"):
             builders |= _referrers(path, "_new")
     assert builders == {"cosmo._years", "largenum._identities"}
+
+
+def _symbols_written(path):
+    """Each (scope, symbol) where ``path`` writes an ``INPUT_DIMS`` key by hand:
+    as the key of a dict display, or as the subscript an assignment stores to."""
+    for scope, node in _scoped_nodes(path):
+        if isinstance(node, ast.Dict):
+            keys = node.keys
+        elif isinstance(node, ast.Assign):
+            keys = [target.slice for target in node.targets if isinstance(target, ast.Subscript)]
+        else:
+            continue
+        for key in keys:
+            if isinstance(key, ast.Constant) and key.value in f.INPUT_DIMS:
+                yield scope, key.value
+
+
+def test_only_formulas_maps_an_input_to_the_symbol_its_rows_read():
+    written, unchecked = [], set()
+    for path in SOURCES:
+        if path.name in ("dimq.py", "formulas.py"):
+            continue
+        written += _symbols_written(path)
+        unchecked |= {scope for scope, node in _scoped_nodes(path) if isinstance(node, ast.Call)
+                      and _read_name(node.func) == "record_environment"}
+    # an entropy the call has just computed, passed on to MAX_BITS without
+    # evaluating its rows again, and the radiation window's one input that
+    # is not a monomial; every other symbol is filled by environment or
+    # record_environment from a parameter name, or is a row
+    assert sorted(written) == [
+        ("cosmo.bits_matter", "S"), ("cosmo.full_report", "S"), ("cosmo.ops_radiation", "tail"),
+    ]
+    # the callers that read a record's fields, checked when the record was built
+    assert unchecked == {"cosmo.full_report", "bounds.system_limits",
+                         "bounds.SystemSpec.effective_area", "baseline._fleet_row"}
 
 
 def _nested(row):
@@ -235,6 +278,7 @@ ORACLE = {
     "MATTER_RADIATION_TRANSITION": (lambda v: mp.mpf("7e5") * v.year_seconds, NEAR),
     "CRITICAL_DENSITY": (lambda v: 3 * v.H**2 / (8 * mp.pi * v.G), FAR),
     "CRITICAL_DENSITY_APPROX": (lambda v: v.H**2 / v.G, FAR),
+    "DEFAULT_DENSITY": (lambda v: 1 / (v.G * v.t**2), FAR),
     "D_FACTOR": (lambda v: mp.pi**2 / 30 * v.weight, NEAR),
     "BLACKBODY_TEMPERATURE": (
         lambda v: (30 * v.hbar**3 * v.c**5 * v.rho / (mp.pi**2 * v.weight)) ** 0.25 / v.k_B, FAR
@@ -243,6 +287,11 @@ ORACLE = {
     "ENTROPY_IN_VOLUME": (
         lambda v: 4 * v.k_B / 3 * (mp.pi**2 * v.weight / 30) ** 0.25
         * (v.rho * v.c / v.hbar) ** 0.75 * v.V,
+        FAR,
+    ),
+    "HORIZON_ENTROPY": (
+        lambda v: 4 * v.k_B / 3 * (mp.pi**2 * v.weight / 30) ** 0.25
+        * (v.rho * v.c / v.hbar) ** 0.75 * (v.c * v.t) ** 3,
         FAR,
     ),
     "RADIATION_ENERGY_AT": (lambda v: v.E * mp.sqrt(v.t / v.t0), FAR),

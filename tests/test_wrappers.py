@@ -138,3 +138,21 @@ def test_radiation_window_checks_each_input_before_the_order(name):
             _call(name, **{**late, param: WRONG})
     with pytest.raises(ValueError, match="^t0 must not exceed t1$"):
         _call(name, **late)
+
+
+# the functions that read a species table's weight, after checking their quantities
+WEIGHED = {name for name, fn in FUNCTIONS.items() if "species" in inspect.signature(fn).parameters}
+
+
+def test_the_weighed_functions_are_the_radiation_bath_ones():
+    assert WEIGHED == {"blackbody_temperature", "entropy_in_volume", "bits_matter",
+                       "bits_radiation"}
+
+
+@pytest.mark.parametrize(("name", "param"), [case for case in CASES if case[0] in WEIGHED])
+def test_a_bad_input_is_reported_before_an_empty_species_table(name, param):
+    empty = cosmo.SpeciesTable(())
+    with pytest.raises(DimensionError, match=f"^{param} has the wrong dimension"):
+        _call(name, species=empty, **{param: WRONG})
+    with pytest.raises(ValueError, match="^species table is empty$"):
+        _call(name, species=empty)
