@@ -133,14 +133,15 @@ class SystemLimits(Record):
 
 
 def system_limits(spec: SystemSpec, profile: ConstantsProfile = PAPER) -> SystemLimits:
-    """All five limits for one system in a single pass."""
+    """All five limits for one system in a single pass; without an area, on R² of its radius."""
+    area = {} if spec.area is None else {"area": spec.area}
     env = f.record_environment(profile, energy=spec.energy, entropy=spec.entropy,
-                               radius=spec.radius, area=spec.effective_area())
+                               radius=spec.radius, **area)
     return SystemLimits(  # by position, which skips Record._arguments
         f.MAX_OPS_PER_SEC.quantity(env),
         f.MIN_FLIP_TIME.quantity(env),
         f.MAX_BITS.quantity(env),
         f.MAX_IO_RATE.quantity(env),
         _bekenstein(env),
-        f.HOLOGRAPHIC_BITS.quantity(env),
+        (f.DEFAULT_HOLOGRAPHIC_BITS if spec.area is None else f.HOLOGRAPHIC_BITS).quantity(env),
     )

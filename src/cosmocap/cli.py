@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -141,6 +140,7 @@ def _jsonable(value: object) -> object:
 
 
 def _render_json(rows: list[Row]) -> str:
+    import json  # here, so that a text run never loads it
     doc: dict[str, object] = {"schema": 1}
     for row in rows:
         for cell in row.cells:

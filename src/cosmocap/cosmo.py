@@ -43,7 +43,7 @@ from .dimq import (
     zero,
 )
 from .formulas import GUT_THRESHOLD_GEV
-from .largenum import _identities
+from .largenum import _IDENTITIES, _identities
 
 __all__ = [
     "GUT_THRESHOLD_GEV",
@@ -77,6 +77,12 @@ __all__ = [
 _LN10 = math.log(10.0)
 # n_eff per polarization state and particle, in eighths: 1 for a boson, 7/8 for a fermion
 _EIGHTHS = {"boson": 8, "fermion": 7}
+
+# the rows that inflation_bounds and full_report read, each after the rows it nests
+_INFLATION = f.plan(f.INFLATION_OPS_PER_SEC, f.INFLATION_OPS_PER_HUBBLE_TIME,
+                    f.INFLATION_BITS_HORIZON)
+_REPORT = f.plan(f.OPS_MATTER, f.OPS_CRITICAL, f.HORIZON_BITS, f.BLACKBODY_TEMPERATURE,
+                 *_INFLATION, *_IDENTITIES)
 
 # the paper's present-day universe, the default wherever a scenario is omitted
 PAPER_RHO_KG_M3 = 1.0e-27
@@ -246,9 +252,7 @@ def bits_matter(
     Equal to (4/(3 ln 2)) D^{1/4} ops_matter^{3/4} by construction; the
     3/4 power is why ~10^120 ops ride on only ~10^90 bits.
     """
-    env = f.environment(profile, species=species, rho=rho, age=age)
-    env["S"] = f.HORIZON_ENTROPY.log10(env)
-    return f.MAX_BITS.quantity(env)
+    return f.HORIZON_BITS.quantity(f.environment(profile, species=species, rho=rho, age=age))
 
 
 def bits_holographic(age: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
@@ -322,14 +326,14 @@ def inflation_bounds(hubble: Quantity, profile: ConstantsProfile = PAPER) -> Inf
     ops_per_hubble_time = ops_per_sec/H.
     bits_horizon = (c/H)²/ℓ_P², which is 8π/3 × ops_per_hubble_time.
     """
-    return _inflation_bounds(f.environment(profile, hubble=hubble))
+    return _inflation_bounds(f.evaluate(_INFLATION, f.environment(profile, hubble=hubble)))
 
 
-def _inflation_bounds(env: dict[object, float]) -> InflationBounds:
+def _inflation_bounds(env: dict[object, float]) -> InflationBounds:  # after _INFLATION
     return InflationBounds(
-        f.INFLATION_OPS_PER_SEC.quantity(env),
-        f.INFLATION_OPS_PER_HUBBLE_TIME.quantity(env),
-        f.INFLATION_BITS_HORIZON.quantity(env),
+        f.INFLATION_OPS_PER_SEC.read(env),
+        f.INFLATION_OPS_PER_HUBBLE_TIME.read(env),
+        f.INFLATION_BITS_HORIZON.read(env),
     )
 
 
@@ -367,7 +371,7 @@ class Scenario(Record):
     @property
     def matter_radiation_transition(self) -> Quantity:
         """7e5 of the profile's years, a row of its constants alone."""
-        return f.MATTER_RADIATION_TRANSITION.quantity(self.profile._log10s)
+        return f.MATTER_RADIATION_TRANSITION.read(self.profile._log10s)
 
 
 def _years(years: Quantity, profile: ConstantsProfile) -> Quantity:
@@ -395,25 +399,24 @@ def full_report(scenario: Scenario) -> CapacityReport:
     """Evaluate every headline quantity for one scenario.
 
     Pure function of the scenario; identical inputs give identical
-    (bitwise) outputs.  Every value comes from one table row evaluated
-    on one log10 environment, the same rows the public functions use.
+    (bitwise) outputs.  Every value comes from one table row, the same rows
+    the public functions use, each evaluated once on one log10 environment.
     """
     env = f.record_environment(scenario.profile, species=scenario.species, rho=scenario.rho,
                                age=scenario.age, hubble=scenario.hubble)
-    entropy = f.HORIZON_ENTROPY.quantity(env)
-    env["S"] = entropy.log10  # for MAX_BITS, without evaluating the entropy's rows again
-    ops = f.OPS_MATTER.quantity(env)
+    f.evaluate(_REPORT, env)
+    ops = f.OPS_MATTER.read(env)
     # bits_holographic is the ops_critical value itself
-    ops_c = f.OPS_CRITICAL.quantity(env)
+    ops_c = f.OPS_CRITICAL.read(env)
     growth = scenario.inflation_growth
     return CapacityReport(  # by position, which skips Record._arguments
         ops,
         ops_c,
         apply_gravity(ops, scenario.include_gravity),
-        f.MAX_BITS.quantity(env),
+        f.HORIZON_BITS.read(env),
         ops_c,
-        f.BLACKBODY_TEMPERATURE.quantity(env),
-        entropy,
+        f.BLACKBODY_TEMPERATURE.read(env),
+        f.HORIZON_ENTROPY.read(env),
         scenario.matter_radiation_transition,
         _inflation_bounds(env),
         None if growth is None else inflation_total_ops(growth),

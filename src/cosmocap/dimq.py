@@ -30,7 +30,6 @@ other mappings take the general checks, with the same result.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from collections.abc import Callable, Iterable, Mapping
@@ -612,6 +611,7 @@ def parse_float(text: str, what: str) -> float:
 
 def read_json_object(path: str, what: str) -> dict[str, object]:
     """The JSON object in file ``path``.  OSError is left to the caller."""
+    import json  # here, so that a run that reads no file never loads it
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh, parse_float=lambda text: parse_float(text, path))

@@ -16,15 +16,13 @@ by parameter name against ``INPUT_DIMS`` and files each under the symbol
 ``PARAMETER_SYMBOLS`` names; ``record_environment`` files a record's checked
 fields, and ``given`` builds an input read as a number.  Tests over the
 source check that no other module names an input's dimension or writes its
-symbol (an entropy memo and the radiation tail aside), and that outside
-``dimq`` only ``cosmo._years`` and the residuals call ``dimq._new``.
+symbol (the radiation tail aside), and that outside ``dimq`` only
+``cosmo._years`` and the residuals call ``dimq._new``.
 
-A row of constants alone (the Planck scales, ħc/e², m_p/m_e, α, the
-transition and the anonymous products inside other rows) has one value
-per profile.  A ``ConstantsProfile`` evaluates each such row once, when
-it is built, into its log10 table (``profile_table``), keyed by the row
-itself; a row that nests one reads its value from there instead of
-evaluating it again, which would give the same float.
+A row reads every term from its environment, a nested row under the row
+itself: a row of constants alone (the Planck scales, ħc/e², α and the like)
+put there once per profile by ``profile_table``, any other by ``evaluate``
+of a ``plan``, the row's own or a report's, each row once.
 
 Terms are listed in the order the Quantity arithmetic they replace
 multiplied, with a nested row wherever a product is raised to a power,
@@ -86,12 +84,11 @@ class Monomial:
     ``terms`` are ``(term, exponent)`` pairs, or a bare term for exponent
     1; a term is a symbol of ``REQUIRED_DIMS`` or ``INPUT_DIMS``, or
     another ``Monomial``.  Exponents are ints or Fractions.  ``constant``
-    is true when every term is a constant or a row of constants alone; a
-    nested row of constants alone is read from ``env``, where
-    ``profile_table`` puts each of ``CONSTANT_ROWS``.
+    is true when every term is a constant or a row of constants alone;
+    ``plan`` lists every other row nested in this one, to evaluate first.
     """
 
-    __slots__ = ("dimension", "terms", "constant", "_start", "_steps")
+    __slots__ = ("dimension", "terms", "constant", "plan", "_start", "_steps")
 
     def __init__(self, dimension: Dimension, *terms, prefactor: float | None = None):
         self.dimension = dimension
@@ -105,32 +102,49 @@ class Monomial:
         self.constant = all(
             t.constant if isinstance(t, Monomial) else t in REQUIRED_DIMS for t, _ in self.terms
         )
+        self.plan = plan(*[t for t, _ in self.terms if isinstance(t, Monomial)])
         self._start = 0.0 if prefactor is None else math.log10(prefactor)
-        # a nested row of constants alone is looked up in env, like a symbol
-        self._steps = tuple(
-            (t, None, float(e)) if not isinstance(t, Monomial) or t.constant
-            else (None, t, float(e))
-            for t, e in self.terms
-        )
+        self._steps = tuple((t, float(e)) for t, e in self.terms)
 
     def log10(self, env: Mapping[object, float]) -> float:
-        """The row's log10 from the log10 in ``env`` of each symbol and nested constant row."""
+        """The row's log10 from the log10 in ``env`` of each term, a symbol or a nested row."""
         total = self._start
-        for symbol, row, exponent in self._steps:
-            total += (env[symbol] if row is None else row.log10(env)) * exponent
+        for term, exponent in self._steps:
+            total += env[term] * exponent
         return total
 
-    def quantity(self, env: Mapping[object, float]) -> Quantity:
-        """The row's positive value as a Quantity of its dimension."""
-        return _new(Quantity, 1, self.log10(env), self.dimension)
+    def quantity(self, env: dict[object, float]) -> Quantity:
+        """The row's positive value as a Quantity, its plan evaluated into ``env`` first."""
+        return _new(Quantity, 1, self.log10(evaluate(self.plan, env)), self.dimension)
+
+    def read(self, env: Mapping[object, float]) -> Quantity:
+        """The row's value in ``env``, where a plan or ``profile_table`` put it, as a Quantity."""
+        return _new(Quantity, 1, env[self], self.dimension)
+
+
+def _rows_within(row: Monomial):
+    """``row`` and every row nested in it, each after the rows it nests."""
+    for term, _ in row.terms:
+        if isinstance(term, Monomial):
+            yield from _rows_within(term)
+    yield row
+
+
+def plan(*rows: Monomial) -> tuple[Monomial, ...]:
+    """Each row of ``rows`` or nested in them, once, after the rows it nests; none constant."""
+    return tuple(dict.fromkeys(r for top in rows for r in _rows_within(top) if not r.constant))
+
+
+def evaluate(rows: tuple[Monomial, ...], env: dict[object, float]) -> dict[object, float]:
+    """Evaluate each of ``rows`` once, in order, into ``env`` under the row; return ``env``."""
+    for row in rows:
+        env[row] = row.log10(env)
+    return env
 
 
 def profile_table(constants: Mapping[str, Quantity]) -> dict[object, float]:
     """log10 of each required constant, by symbol, and of each row of constants alone, by row."""
-    table: dict[object, float] = {cid: constants[cid].log10 for cid in REQUIRED_DIMS}
-    for row in CONSTANT_ROWS:  # each after the rows it nests
-        table[row] = row.log10(table)
-    return table
+    return evaluate(CONSTANT_ROWS, {cid: constants[cid].log10 for cid in REQUIRED_DIMS})
 
 
 def environment(
@@ -176,6 +190,7 @@ PLANCK_TIME = Monomial(TIME, (Monomial(TIME**2, "hbar", "G", ("c", -5)), _HALF))
 PLANCK_LENGTH = Monomial(LENGTH, (Monomial(AREA, "hbar", "G", ("c", -3)), _HALF))
 FINE_STRUCTURE_INVERSE = Monomial(DIMENSIONLESS, "hbar", "c", ("e2", -1))
 MASS_RATIO = Monomial(DIMENSIONLESS, "m_p", ("m_e", -1))
+_K_B_LN2 = Monomial(ENTROPY, "k_B", prefactor=math.log(2.0))  # the entropy of one bit
 
 # -- cosmo: matter epoch ----------------------------------------------
 HORIZON_VOLUME = Monomial(VOLUME, (Monomial(LENGTH, "c", "t"), 3))
@@ -196,6 +211,7 @@ _BATH_ENTROPY_DENSITY = Monomial(ENTROPY / VOLUME, "k_B", (D_FACTOR, _QUARTER), 
                                  (_RHO_C_HBAR, 3 * _QUARTER), prefactor=4.0 / 3.0)
 ENTROPY_IN_VOLUME = Monomial(ENTROPY, _BATH_ENTROPY_DENSITY, "V")
 HORIZON_ENTROPY = Monomial(ENTROPY, _BATH_ENTROPY_DENSITY, HORIZON_VOLUME)
+HORIZON_BITS = Monomial(DIMENSIONLESS, HORIZON_ENTROPY, (_K_B_LN2, -1))  # MAX_BITS of it
 
 # -- cosmo: radiation epoch -------------------------------------------
 RADIATION_ENERGY_AT = Monomial(ENERGY, "E", (Monomial(DIMENSIONLESS, "t", ("t0", -1)), _HALF))
@@ -228,25 +244,18 @@ GAMMA = Monomial(DIMENSIONLESS, (_BARYONS, _HALF))
 # -- bounds -----------------------------------------------------------
 MAX_OPS_PER_SEC = Monomial(RATE, "E", ("hbar", -1), prefactor=2.0 / math.pi)
 MIN_FLIP_TIME = Monomial(TIME, (MAX_OPS_PER_SEC, -1))
-MAX_BITS = Monomial(DIMENSIONLESS, "S", (Monomial(ENTROPY, "k_B", prefactor=math.log(2.0)), -1))
+MAX_BITS = Monomial(DIMENSIONLESS, "S", (_K_B_LN2, -1))
 MAX_IO_RATE = Monomial(RATE, "c", "S", (Monomial(ENTROPY * LENGTH, "k_B", "R"), -1))
 _HBAR_C_S = Monomial(ENERGY * LENGTH * ENTROPY, "hbar", "c", "S")
 BEKENSTEIN_RATIO = Monomial(DIMENSIONLESS, "k_B", "E", "R", (_HBAR_C_S, -1))
 HOLOGRAPHIC_BITS = Monomial(DIMENSIONLESS, "A", (PLANCK_LENGTH, -2))
 DEFAULT_AREA = Monomial(AREA, ("R", 2))  # a bare R², no 4π
+DEFAULT_HOLOGRAPHIC_BITS = Monomial(DIMENSIONLESS, DEFAULT_AREA, (PLANCK_LENGTH, -2))
 
 # -- baseline ---------------------------------------------------------
 FLEET_OPS = Monomial(DIMENSIONLESS, "n_computers", "clock_rate", "ops_per_cycle", "duration")
 FLEET_BITS = Monomial(DIMENSIONLESS, "n_computers", "bits_per_computer")
 HISTORICAL_OPS = Monomial(DIMENSIONLESS, FLEET_OPS, prefactor=2.0)
-
-
-def _rows_within(row: Monomial):
-    """``row`` and every row nested in it, each after the rows it nests."""
-    for term, _ in row.terms:
-        if isinstance(term, Monomial):
-            yield from _rows_within(term)
-    yield row
 
 
 # every row of constants alone, named or nested, each after the rows it nests

@@ -27,10 +27,12 @@ from .dimq import DIMENSIONLESS, Quantity, Record, _new
 
 __all__ = ["LargeNumberReport", "alpha", "beta", "gamma", "identities"]
 
+_IDENTITIES = f.plan(f.BETA, f.GAMMA, f.OPS_MATTER, f.OPS_CRITICAL)  # the rows identities reads
+
 
 def alpha(profile: ConstantsProfile = PAPER) -> Quantity:
     """e²/(G m_e m_p), about 2.3e39 for modern constants."""
-    return f.ALPHA.quantity(profile._log10s)
+    return f.ALPHA.read(profile._log10s)
 
 
 def beta(t: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
@@ -54,16 +56,16 @@ class LargeNumberReport(Record):
 def identities(
     rho: Quantity, t: Quantity, profile: ConstantsProfile = PAPER
 ) -> LargeNumberReport:
-    """Evaluate α, β, γ and the three residuals at (ρ, t)."""
-    return _identities(f.environment(profile, t=t, rho=rho))  # t first, as in beta and gamma
+    """Evaluate α, β, γ and the three residuals at (ρ, t), checking t first, as beta does."""
+    return _identities(f.evaluate(_IDENTITIES, f.environment(profile, t=t, rho=rho)))
 
 
 def _identities(env: dict[object, float]) -> LargeNumberReport:
-    # α, ħc/e² and m_p/m_e are rows of constants alone, read from the profile's table
-    a, b, g = env[f.ALPHA], f.BETA.log10(env), f.GAMMA.log10(env)
+    # env holds _IDENTITIES; α, ħc/e² and m_p/m_e are rows of constants alone, from the profile
+    a, b, g = env[f.ALPHA], env[f.BETA], env[f.GAMMA]
     # the conversion factor linking ops to βγ²: (ħc/e²)·(m_e/m_p) ≈ 137/1836
     factor = env[f.FINE_STRUCTURE_INVERSE] - env[f.MASS_RATIO]
     r1 = a + b - g * 2.0
-    r2 = b + g * 2.0 - (f.OPS_MATTER.log10(env) + factor)
-    r3 = a + b * 2.0 - (f.OPS_CRITICAL.log10(env) + factor)
+    r2 = b + g * 2.0 - (env[f.OPS_MATTER] + factor)
+    r3 = a + b * 2.0 - (env[f.OPS_CRITICAL] + factor)
     return LargeNumberReport(*[_new(Quantity, 1, x, DIMENSIONLESS) for x in (a, b, g, r1, r2, r3)])

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,14 +15,26 @@ from cosmocap.bounds import (
     min_flip_time,
     system_limits,
 )
-from cosmocap.constants import PAPER, get, planck_length
-from cosmocap.cosmo import bits_holographic
+from cosmocap.constants import CODATA, PAPER, get, load_profile, planck_length
+from cosmocap.cosmo import (
+    Scenario,
+    Species,
+    SpeciesTable,
+    bits_holographic,
+    bits_matter,
+    blackbody_temperature,
+    full_report,
+    inflation_bounds,
+    ops_critical,
+    ops_matter,
+)
 from cosmocap.dimq import (
     AREA,
     DIMENSIONLESS,
     ENERGY,
     ENTROPY,
     LENGTH,
+    MASS_DENSITY,
     RATE,
     TIME,
     DimensionError,
@@ -29,6 +43,7 @@ from cosmocap.dimq import (
     scalar,
     zero,
 )
+from cosmocap.largenum import identities
 
 # independent plain-double value: c*S/(k_B R) with S = 1e90 k_B ln2, R = c t
 IO_RATE_UNIVERSE = 2.196283842078407e72
@@ -238,16 +253,53 @@ def test_system_spec_checks_an_explicit_area():
     assert limits.holographic_bits != holographic_bits(budget["radius"] ** 2)
 
 
+# ------------------------------------------------ cross-path agreement
+
+DATA = Path(__file__).parent / "data"
+PROFILES = {"paper": PAPER, "codata": CODATA,
+            "file": load_profile(str(DATA / "domain_profile.json"))}
+FIXTURE = json.loads((DATA / "domain_fixture.json").read_text(encoding="utf-8"))["scenarios"]
+
+
+def _limit_budgets():
+    """(profile, energy, entropy, radius): a 4 J, 5 cm system, then each fixture horizon's."""
+    yield PAPER, make(4.0, ENERGY), make(1e-21, ENTROPY), make(0.05, LENGTH)
+    for case in FIXTURE:
+        logs = case["horizon_log10"]
+        yield (PROFILES[case["inputs"]["profile"]], Quantity(1, logs["E"], ENERGY),
+               Quantity(1, logs["S"], ENTROPY), Quantity(1, logs["R"], LENGTH))
+
+
 def test_system_limits_aggregates_consistently():
-    spec = SystemSpec(
-        energy=make(4.0, ENERGY),
-        entropy=make(1e-21, ENTROPY),
-        radius=make(0.05, LENGTH),
-    )
-    limits = system_limits(spec)
-    assert limits.ops_per_sec == max_ops_per_sec(spec.energy)
-    assert limits.bits == max_bits(spec.entropy)
-    assert limits.io_rate == max_io_rate(spec.entropy, spec.radius)
-    assert limits.holographic_bits == holographic_bits(spec.effective_area())
-    assert (limits.flip_time * limits.ops_per_sec).log10 == 0.0
-    assert not limits.bekenstein.below_bound or limits.bekenstein.ratio.sign == 1
+    # each field of the one-pass limits is its single-limit function's value,
+    # bit for bit, with the default area R² and with a sphere's 4πR²
+    for profile, energy, entropy, radius in _limit_budgets():
+        sphere = Quantity(1, 2.0 * radius.log10 + math.log10(4.0 * math.pi), AREA)
+        for area in (None, sphere):
+            spec = SystemSpec(energy, entropy, radius, area=area)
+            limits = system_limits(spec, profile)
+            assert limits.ops_per_sec == max_ops_per_sec(spec.energy, profile)
+            assert limits.flip_time == min_flip_time(spec.energy, profile)
+            assert limits.bits == max_bits(spec.entropy, profile)
+            assert limits.io_rate == max_io_rate(spec.entropy, spec.radius, profile)
+            assert limits.bekenstein == bekenstein_ratio(energy, radius, entropy, profile)
+            assert limits.holographic_bits == holographic_bits(spec.effective_area(), profile)
+            assert (limits.flip_time * limits.ops_per_sec).log10 == 0.0
+            assert not limits.bekenstein.below_bound or limits.bekenstein.ratio.sign == 1
+
+
+@pytest.mark.parametrize("index", range(len(FIXTURE)))
+def test_full_report_agrees_with_each_single_row_function(index):
+    inp = FIXTURE[index]["inputs"]
+    profile = PROFILES[inp["profile"]]
+    rho, age = make(inp["rho"], MASS_DENSITY), make(inp["age"], TIME)
+    species = SpeciesTable(tuple(Species(*s) for s in inp["species"]))
+    scenario = Scenario(rho, age, None if inp["hubble"] is None else make(inp["hubble"], RATE),
+                        species, inp["gravity"], profile)
+    report = full_report(scenario)
+    assert report.ops_matter == ops_matter(rho, age, profile)
+    assert report.bits_matter == bits_matter(rho, age, species, profile)
+    assert report.ops_critical == ops_critical(age, profile)
+    assert report.blackbody_T == blackbody_temperature(rho, species, profile)
+    assert report.inflation == inflation_bounds(scenario.hubble, profile)
+    assert report.large_numbers == identities(rho, age, profile)

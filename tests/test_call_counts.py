@@ -144,11 +144,15 @@ def test_matter_epoch_commands_check_each_input_once(argv):
     assert _calls(_profiled(lambda: _quiet_main(argv)), dimq.require.__code__) == 3
 
 
-# Monomial.log10 calls, nested rows included, in one paper report: 27.
-# A row of constants alone is evaluated once per profile, when the
-# profile is built, so a report reads α, ħc/e², m_p/m_e and the Planck
-# scales from its environment (40 calls when each was evaluated again).
-MAX_ROW_EVALUATIONS_PER_REPORT = 30
+# Monomial.log10 calls, nested rows included, in one paper report: 20,
+# one per row of the report's plan.  Every row, nested or not, is
+# evaluated through Monomial.log10.  A row of constants alone is evaluated
+# once per profile, when the profile is built, so a report reads α,
+# ħc/e², m_p/m_e, the Planck scales and the transition from its
+# environment (40 calls when each was evaluated again); every other row
+# it reads is evaluated once (27 calls when a nested row was evaluated
+# again by each row that read it).
+MAX_ROW_EVALUATIONS_PER_REPORT = 20
 
 
 def test_full_report_evaluates_few_rows():
@@ -176,6 +180,14 @@ def test_make_runs_no_quantity_init():
 def test_default_area_builds_no_dimension():
     spec = SystemSpec(make(1.0, ENERGY), make(1e-20, ENTROPY), make(0.1, LENGTH))
     assert _calls(_profiled(spec.effective_area), dimq._reduced.__code__) == 0
+
+
+def test_system_limits_without_an_area_builds_one_environment():
+    # the default area R² is a row nested in the holographic one, evaluated
+    # on the limits' own environment
+    spec = SystemSpec(make(1.0, ENERGY), make(1e-20, ENTROPY), make(0.1, LENGTH))
+    profiler = _profiled(lambda: system_limits(spec))
+    assert _calls(profiler, formulas.record_environment.__code__) == 1
 
 
 def test_full_report_builds_no_dimension():

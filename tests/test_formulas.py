@@ -53,6 +53,7 @@ EXPECTED_DIMS = {
     "ENTROPY_DENSITY": Dimension(-1, 1, -2, -1),
     "ENTROPY_IN_VOLUME": Dimension(2, 1, -2, -1),
     "HORIZON_ENTROPY": Dimension(2, 1, -2, -1),
+    "HORIZON_BITS": Dimension(),
     "RADIATION_ENERGY_AT": Dimension(2, 1, -2),
     "OPS_RADIATION": Dimension(),
     "THERMAL_ENERGY": Dimension(2, 1, -2),
@@ -71,6 +72,7 @@ EXPECTED_DIMS = {
     "BEKENSTEIN_RATIO": Dimension(),
     "HOLOGRAPHIC_BITS": Dimension(),
     "DEFAULT_AREA": Dimension(2),
+    "DEFAULT_HOLOGRAPHIC_BITS": Dimension(),
     "FLEET_OPS": Dimension(),
     "FLEET_BITS": Dimension(),
     "HISTORICAL_OPS": Dimension(),
@@ -203,13 +205,10 @@ def test_only_formulas_maps_an_input_to_the_symbol_its_rows_read():
         written += _symbols_written(path)
         unchecked |= {scope for scope, node in _scoped_nodes(path) if isinstance(node, ast.Call)
                       and _read_name(node.func) == "record_environment"}
-    # an entropy the call has just computed, passed on to MAX_BITS without
-    # evaluating its rows again, and the radiation window's one input that
-    # is not a monomial; every other symbol is filled by environment or
-    # record_environment from a parameter name, or is a row
-    assert sorted(written) == [
-        ("cosmo.bits_matter", "S"), ("cosmo.full_report", "S"), ("cosmo.ops_radiation", "tail"),
-    ]
+    # the radiation window's one input that is not a monomial; every other
+    # symbol is filled by environment or record_environment from a
+    # parameter name, and a derived one (an entropy, a default area) is a row
+    assert written == [("cosmo.ops_radiation", "tail")]
     # the callers that read a record's fields, checked when the record was built
     assert unchecked == {"cosmo.full_report", "bounds.system_limits",
                          "bounds.SystemSpec.effective_area", "baseline._fleet_row"}
@@ -234,6 +233,20 @@ def test_rows_of_constants_alone_are_each_profiles_to_evaluate():
         assert set(_nested(row)) <= set(f.CONSTANT_ROWS[:i])
     for profile in (PAPER, CODATA, load_profile(str(DATA / "domain_profile.json"))):
         assert set(f.CONSTANT_ROWS) <= set(profile._log10s)
+
+
+def test_a_rows_plan_holds_each_nested_row_once_after_the_rows_it_nests():
+    for row in ROWS.values():
+        nested = [r for r in _nested(row) if not r.constant]
+        assert len(row.plan) == len(set(nested)) and set(row.plan) == set(nested)
+        for i, r in enumerate(row.plan):
+            assert {n for n in _nested(r) if not n.constant} <= set(row.plan[:i])
+    # log10 reads a nested row from its environment and never evaluates it
+    env = {**PAPER._log10s, "rho": -27.0, "t": 17.5, "weight": 0.0}
+    with pytest.raises(KeyError):
+        f.HORIZON_BITS.log10(env)
+    f.evaluate(f.HORIZON_BITS.plan, env)
+    assert f.HORIZON_BITS.log10(env) == f.MAX_BITS.log10({**env, "S": env[f.HORIZON_ENTROPY]})
 
 
 # ---------------------------------------------------------------- oracle
@@ -294,6 +307,11 @@ ORACLE = {
         * (v.rho * v.c / v.hbar) ** 0.75 * (v.c * v.t) ** 3,
         FAR,
     ),
+    "HORIZON_BITS": (
+        lambda v: 4 / (3 * LN2) * (mp.pi**2 * v.weight / 30) ** 0.25
+        * (v.rho * v.c / v.hbar) ** 0.75 * (v.c * v.t) ** 3,
+        FAR,
+    ),
     "RADIATION_ENERGY_AT": (lambda v: v.E * mp.sqrt(v.t / v.t0), FAR),
     "OPS_RADIATION": (lambda v: 4 * v.E / (mp.pi * v.hbar) * (v.t - mp.sqrt(v.t * v.t0)), FAR),
     "THERMAL_ENERGY": (lambda v: v.k_B * v.T, FAR),
@@ -314,6 +332,7 @@ ORACLE = {
     "BEKENSTEIN_RATIO": (lambda v: v.k_B * v.E * v.R / (v.hbar * v.c * v.S), FAR),
     "HOLOGRAPHIC_BITS": (lambda v: v.A * v.c**3 / (v.hbar * v.G), FAR),
     "DEFAULT_AREA": (lambda v: v.R**2, FAR),
+    "DEFAULT_HOLOGRAPHIC_BITS": (lambda v: v.R**2 * v.c**3 / (v.hbar * v.G), FAR),
     "FLEET_OPS": (lambda v: v.n_computers * v.clock_rate * v.ops_per_cycle * v.duration, NEAR),
     "FLEET_BITS": (lambda v: v.n_computers * v.bits_per_computer, NEAR),
     "HISTORICAL_OPS": (
@@ -365,5 +384,7 @@ def test_rows_agree_with_mpmath(index):
            **{k: float(mp.log10(v)) for k, v in exact.items()}}
     v = SimpleNamespace(**{k: mp.mpf(x) for k, x in RAW[inp["profile"]].items()}, **exact)
     for name, (formula, tol) in ORACLE.items():
-        err = abs(ROWS[name].log10(env) - float(mp.log10(formula(v))))
+        row = ROWS[name]
+        f.evaluate(row.plan, env)  # the rows it nests, each into env under the row
+        err = abs(row.log10(env) - float(mp.log10(formula(v))))
         assert err <= tol, (name, err)
