@@ -94,11 +94,11 @@ def bekenstein_ratio(
     Equality at 1/(2 pi) is the black-hole case and is not flagged; the
     flag trips only below (1/(2 pi)) x (1 - 1e-9).
     """
-    return _bekenstein(f.environment(profile, energy=energy, radius=radius, entropy=entropy))
+    env = f.environment(profile, energy=energy, radius=radius, entropy=entropy)
+    return _bekenstein(f.BEKENSTEIN_RATIO.quantity(env))
 
 
-def _bekenstein(env: dict[object, float]) -> BekensteinResult:
-    ratio = f.BEKENSTEIN_RATIO.quantity(env)
+def _bekenstein(ratio: Quantity) -> BekensteinResult:
     return BekensteinResult(ratio, ratio.log10 < _BEKENSTEIN_THRESHOLD_LOG10)
 
 
@@ -132,16 +132,17 @@ class SystemLimits(Record):
     __slots__ = ("ops_per_sec", "flip_time", "bits", "io_rate", "bekenstein", "holographic_bits")
 
 
+# SystemLimits' rows in field order and their plan, each row once, by whether an area is given
+_ROWS = (f.MAX_OPS_PER_SEC, f.MIN_FLIP_TIME, f.MAX_BITS, f.MAX_IO_RATE, f.BEKENSTEIN_RATIO)
+_LIMITS = {has_area: (rows, f.plan(*rows)) for has_area, rows in (
+    (True, (*_ROWS, f.HOLOGRAPHIC_BITS)), (False, (*_ROWS, f.DEFAULT_HOLOGRAPHIC_BITS)))}
+
+
 def system_limits(spec: SystemSpec, profile: ConstantsProfile = PAPER) -> SystemLimits:
     """All five limits for one system in a single pass; without an area, on R² of its radius."""
     area = {} if spec.area is None else {"area": spec.area}
-    env = f.record_environment(profile, energy=spec.energy, entropy=spec.entropy,
-                               radius=spec.radius, **area)
-    return SystemLimits(  # by position, which skips Record._arguments
-        f.MAX_OPS_PER_SEC.quantity(env),
-        f.MIN_FLIP_TIME.quantity(env),
-        f.MAX_BITS.quantity(env),
-        f.MAX_IO_RATE.quantity(env),
-        _bekenstein(env),
-        (f.DEFAULT_HOLOGRAPHIC_BITS if spec.area is None else f.HOLOGRAPHIC_BITS).quantity(env),
-    )
+    (ops, flip, bits, io, ratio, holographic), plan = _LIMITS[spec.area is not None]
+    env = f.evaluate(plan, f.record_environment(profile, energy=spec.energy,
+                                                entropy=spec.entropy, radius=spec.radius, **area))
+    return SystemLimits(ops.read(env), flip.read(env), bits.read(env), io.read(env),
+                        _bekenstein(ratio.read(env)), holographic.read(env))  # by position

@@ -28,7 +28,6 @@ from .constants import (
     ConstantsProfile,
     builtin_profile,
     fine_structure_inverse,
-    get,
     load_profile,
     mass_ratio,
     planck_length,
@@ -47,9 +46,9 @@ from .dimq import (
     quantity_to_jsonable,
     read_fields,
     read_json_object,
-    scalar,
+    zero,
 )
-from .formulas import DEFAULT_DENSITY, environment, given
+from .formulas import DEFAULT_DENSITY, ENERGY_FOR_OPS_RATE, environment, given
 from .largenum import identities
 
 __all__ = ["main"]
@@ -335,10 +334,10 @@ def cmd_epoch_radiation(args: argparse.Namespace) -> Table:
     profile = _profile_from_flag(args)
     if args.e1_joules is not None:
         e1 = given("e1", args.e1_joules)
-    else:
-        # --E1-ratio r means: E1 sized so that 2 E1/(pi hbar) = r ops/sec
-        hbar = get(profile, "hbar")
-        e1 = scalar(args.e1_ratio) * scalar(math.pi / 2.0) * hbar / given("t1", 1.0)
+    else:  # E1 with 2 E1/(pi hbar) = r ops/sec; an r <= 0 gives E1 = 0, which is refused
+        rate = given("rate", args.e1_ratio)
+        e1 = (ENERGY_FOR_OPS_RATE.quantity(environment(profile, rate=rate)) if rate.sign > 0
+              else zero(ENERGY_FOR_OPS_RATE.dimension))
     t1 = given("t1", args.t1)
     t0 = given("t0", args.t0)
     ops = cosmo.ops_radiation(e1, t1, t0, profile)

@@ -138,23 +138,23 @@ def get(profile: ConstantsProfile, cid: str) -> Quantity:
 
 
 def planck_time(profile: ConstantsProfile) -> Quantity:
-    """sqrt(ħG/c⁵); ħG/c⁵ is derived once per profile, from its read-only constants."""
-    return f.PLANCK_TIME.quantity(profile._log10s)
+    """sqrt(ħG/c⁵), a row of constants alone, derived once per profile from its constants."""
+    return f.PLANCK_TIME.read(profile._log10s)
 
 
 def planck_length(profile: ConstantsProfile) -> Quantity:
     """sqrt(ħG/c³)."""
-    return f.PLANCK_LENGTH.quantity(profile._log10s)
+    return f.PLANCK_LENGTH.read(profile._log10s)
 
 
 def fine_structure_inverse(profile: ConstantsProfile) -> Quantity:
     """ħc/e², about 137 for modern values."""
-    return f.FINE_STRUCTURE_INVERSE.quantity(profile._log10s)
+    return f.FINE_STRUCTURE_INVERSE.read(profile._log10s)
 
 
 def mass_ratio(profile: ConstantsProfile) -> Quantity:
     """m_p/m_e, about 1836."""
-    return f.MASS_RATIO.quantity(profile._log10s)
+    return f.MASS_RATIO.read(profile._log10s)
 
 
 _ENTRY_FIELDS = {

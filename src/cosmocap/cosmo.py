@@ -78,9 +78,10 @@ _LN10 = math.log(10.0)
 # n_eff per polarization state and particle, in eighths: 1 for a boson, 7/8 for a fermion
 _EIGHTHS = {"boson": 8, "fermion": 7}
 
-# the rows that inflation_bounds and full_report read, each after the rows it nests
-_INFLATION = f.plan(f.INFLATION_OPS_PER_SEC, f.INFLATION_OPS_PER_HUBBLE_TIME,
-                    f.INFLATION_BITS_HORIZON)
+# InflationBounds' rows in field order; the plans inflation_bounds and full_report evaluate
+_INFLATION_ROWS = (f.INFLATION_OPS_PER_SEC, f.INFLATION_OPS_PER_HUBBLE_TIME,
+                   f.INFLATION_BITS_HORIZON)
+_INFLATION = f.plan(*_INFLATION_ROWS)
 _REPORT = f.plan(f.OPS_MATTER, f.OPS_CRITICAL, f.HORIZON_BITS, f.BLACKBODY_TEMPERATURE,
                  *_INFLATION, *_IDENTITIES)
 
@@ -311,8 +312,8 @@ def bits_radiation(
     """
     env = f.environment(profile, energy=energy, temperature=temperature)
     species._weight_eighths()  # reject an empty bath up front
-    above = f.THERMAL_ENERGY.log10(env) > env[f.GUT_THRESHOLD]  # a row of constants alone
-    return RadiationBits(f.BITS_RADIATION.quantity(env), above)
+    bits = f.BITS_RADIATION.quantity(env)  # its plan stores k_B T in env, once
+    return RadiationBits(bits, env[f.THERMAL_ENERGY] > env[f.GUT_THRESHOLD])
 
 
 class InflationBounds(Record):
@@ -330,11 +331,9 @@ def inflation_bounds(hubble: Quantity, profile: ConstantsProfile = PAPER) -> Inf
 
 
 def _inflation_bounds(env: dict[object, float]) -> InflationBounds:  # after _INFLATION
-    return InflationBounds(
-        f.INFLATION_OPS_PER_SEC.read(env),
-        f.INFLATION_OPS_PER_HUBBLE_TIME.read(env),
-        f.INFLATION_BITS_HORIZON.read(env),
-    )
+    ops_per_sec, ops_per_hubble_time, bits_horizon = _INFLATION_ROWS
+    return InflationBounds(ops_per_sec.read(env), ops_per_hubble_time.read(env),
+                           bits_horizon.read(env))
 
 
 def inflation_total_ops(growth: LogInterval) -> LogInterval:
@@ -402,9 +401,9 @@ def full_report(scenario: Scenario) -> CapacityReport:
     (bitwise) outputs.  Every value comes from one table row, the same rows
     the public functions use, each evaluated once on one log10 environment.
     """
-    env = f.record_environment(scenario.profile, species=scenario.species, rho=scenario.rho,
-                               age=scenario.age, hubble=scenario.hubble)
-    f.evaluate(_REPORT, env)
+    env = f.evaluate(_REPORT, f.record_environment(
+        scenario.profile, species=scenario.species, rho=scenario.rho, age=scenario.age,
+        hubble=scenario.hubble))
     ops = f.OPS_MATTER.read(env)
     # bits_holographic is the ops_critical value itself
     ops_c = f.OPS_CRITICAL.read(env)

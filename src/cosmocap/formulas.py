@@ -5,19 +5,19 @@ and constants raised to fixed rational powers, e.g.
 
     ops_matter = ρ c⁵ t⁴ ħ⁻¹
 
-so its log10 is the prefactor's log10 plus a weighted sum of its terms'
-log10, and its dimension is fixed by the terms alone.  A ``Monomial``
-checks that dimension once, when the row is built at import, against
-``REQUIRED_DIMS`` and ``INPUT_DIMS``; a call adds plain floats, and a
-public wrapper builds one ``Quantity`` from the sum.  Defaults and derived
-inputs (H = 1/t, 1/(Gt²), R², gravity's 2, the 7e5-year transition, the
-horizon's entropy) are rows too.  ``environment`` checks a wrapper's inputs
-by parameter name against ``INPUT_DIMS`` and files each under the symbol
+so its log10 is the prefactor's log10 plus a weighted sum of its terms' log10,
+and its dimension is fixed by the terms alone.  A ``Monomial`` checks that
+dimension once, when the row is built at import, against ``REQUIRED_DIMS`` and
+``INPUT_DIMS``; a call adds plain floats, and a public wrapper builds one
+``Quantity`` from the sum.  Defaults and derived inputs (H = 1/t, 1/(Gt²), R²,
+gravity's 2, the 7e5-year transition, the horizon's entropy, the energy of an
+ops/sec rate) are rows too.  ``environment`` checks a wrapper's inputs by
+parameter name against ``INPUT_DIMS`` and files each under the symbol
 ``PARAMETER_SYMBOLS`` names; ``record_environment`` files a record's checked
-fields, and ``given`` builds an input read as a number.  Tests over the
-source check that no other module names an input's dimension or writes its
-symbol (the radiation tail aside), and that outside ``dimq`` only
-``cosmo._years`` and the residuals call ``dimq._new``.
+fields, and ``given`` builds an input read as a number.  Tests over the source
+check that no other module names an input's dimension, writes its symbol (the
+radiation tail aside) or calls a row's ``log10``, and that outside ``dimq``
+only ``cosmo._years`` and the residuals call ``dimq._new``.
 
 A row reads every term from its environment, a nested row under the row
 itself: a row of constants alone (the Planck scales, ħc/e², α and the like)
@@ -61,6 +61,7 @@ INPUT_DIMS: dict[str, Dimension] = {
     "E": ENERGY, "R": LENGTH, "A": AREA, "T": TEMPERATURE,
     "weight": DIMENSIONLESS,  # Σ n_eff of the species table
     "ops": DIMENSIONLESS,  # an operation count, the input of cosmo.apply_gravity
+    "rate": RATE,  # an ops/sec rate, the input of the Margolus–Levitin inverse
     "tail": DIMENSIONLESS,  # 1 − √(t0/t1), the radiation-era window
     # the fields of a baseline.FleetSpec
     "n_computers": DIMENSIONLESS, "clock_rate": RATE, "ops_per_cycle": DIMENSIONLESS,
@@ -73,8 +74,8 @@ _SYMBOL_DIMS = {**REQUIRED_DIMS, **INPUT_DIMS}
 PARAMETER_SYMBOLS: dict[str, str] = {
     "rho": "rho", "age": "t", "t": "t", "t1": "t", "t0": "t0", "hubble": "H", "energy": "E",
     "e1": "E", "entropy": "S", "radius": "R", "area": "A", "temperature": "T", "volume": "V",
-    **{name: name for name in ("ops", "n_computers", "clock_rate", "ops_per_cycle", "duration",
-                               "bits_per_computer")},  # ops, and each FleetSpec field, is its own
+    **{name: name for name in ("ops", "rate", "n_computers", "clock_rate", "ops_per_cycle",
+                               "duration", "bits_per_computer")},  # each names its own symbol
 }
 
 
@@ -243,6 +244,7 @@ GAMMA = Monomial(DIMENSIONLESS, (_BARYONS, _HALF))
 
 # -- bounds -----------------------------------------------------------
 MAX_OPS_PER_SEC = Monomial(RATE, "E", ("hbar", -1), prefactor=2.0 / math.pi)
+ENERGY_FOR_OPS_RATE = Monomial(ENERGY, "rate", "hbar", prefactor=math.pi / 2.0)  # its inverse
 MIN_FLIP_TIME = Monomial(TIME, (MAX_OPS_PER_SEC, -1))
 MAX_BITS = Monomial(DIMENSIONLESS, "S", (_K_B_LN2, -1))
 MAX_IO_RATE = Monomial(RATE, "c", "S", (Monomial(ENTROPY * LENGTH, "k_B", "R"), -1))

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from cosmocap import cli, dimq, formulas
+from cosmocap import cli, constants, dimq, formulas
 from cosmocap.bounds import SystemSpec, system_limits
 from cosmocap.cosmo import (
     PHOTONS_ONLY,
@@ -28,7 +28,8 @@ from cosmocap.cosmo import (
     paper_scenario,
 )
 from cosmocap.dimq import (
-    ENERGY, ENTROPY, LENGTH, MASS_DENSITY, TEMPERATURE, TIME, Dimension, Quantity, make, zero,
+    AREA, ENERGY, ENTROPY, LENGTH, MASS_DENSITY, TEMPERATURE, TIME, Dimension, Quantity, make,
+    zero,
 )
 
 
@@ -158,6 +159,39 @@ MAX_ROW_EVALUATIONS_PER_REPORT = 20
 def test_full_report_evaluates_few_rows():
     calls = _calls(_profiled_report(paper_scenario()), formulas.Monomial.log10.__code__)
     assert 0 < calls <= MAX_ROW_EVALUATIONS_PER_REPORT
+
+
+def _row_evaluations(run) -> int:
+    return _calls(_profiled(run), formulas.Monomial.log10.__code__)
+
+
+# system_limits evaluates one plan of its rows: without an area, the rate,
+# flip time, bits, k_B·R, I/O rate, ħcS, Bekenstein ratio, R² and holographic
+# bits; with one, all but R².  Each is evaluated once (10 and 9 calls when the
+# flip time evaluated the rate again).
+@pytest.mark.parametrize("area, evaluations", [(None, 9), (make(0.02, AREA), 8)],
+                         ids=["no-area", "area"])
+def test_system_limits_evaluates_each_row_once(area, evaluations):
+    spec = SystemSpec(make(1.0, ENERGY), make(1e-20, ENTROPY), make(0.1, LENGTH), area)
+    assert 0 < _row_evaluations(lambda: system_limits(spec)) <= evaluations
+
+
+def test_bits_radiation_evaluates_thermal_energy_once():
+    # k_B T for the threshold check is the value the bits' plan stored (3 calls
+    # when the check evaluated it again)
+    energy, temperature = make(1e51, ENERGY), make(18.0, TEMPERATURE)
+    assert _row_evaluations(lambda: bits_radiation(energy, temperature, PHOTONS_ONLY)) == 2
+
+
+# a row of constants alone is read from the profile's table, never evaluated again
+@pytest.mark.parametrize("getter", [constants.planck_time, constants.planck_length,
+                                    constants.fine_structure_inverse, constants.mass_ratio])
+def test_a_getter_of_constants_evaluates_no_row(getter):
+    assert _row_evaluations(lambda: getter(constants.PAPER)) == 0
+
+
+def test_the_constants_command_evaluates_no_row():
+    assert _row_evaluations(lambda: _quiet_main(["constants"])) == 0
 
 
 # Quantity constructions in one full_report of a prebuilt paper scenario:

@@ -785,6 +785,24 @@ def test_epoch_radiation_from_zero(run_cli):
     assert "ops: 8.000e+00" in out
 
 
+# a ratio <= 0 gives an energy that ops_radiation refuses; a literal that is not a
+# double is malformed; the extreme doubles give an energy well inside range
+@pytest.mark.parametrize(("ratio", "expected_code", "expected_err", "energy_line"), [
+    ("0", 3, "error: e1 must be > 0\n", None),
+    ("-0", 3, "error: e1 must be > 0\n", None),
+    ("-1", 3, "error: e1 must be > 0\n", None),
+    ("5e-324", 0, "", "E at t1: 10^-357.09 [L^2 M T^-2]\n"),
+    ("1e-400", 2, "error: --E1-ratio: 1e-400 is nonzero but below double range\n", None),
+    ("inf", 2, "error: value must be finite, got inf\n", None),
+    ("nan", 2, "error: value must be finite, got nan\n", None),
+    ("1.7976931348623157e308", 0, "", "E at t1: 10^274.47 [L^2 M T^-2]\n"),
+])
+def test_e1_ratio_at_its_edges(run_cli, ratio, expected_code, expected_err, energy_line):
+    code, out, err = run_cli(["epoch", "radiation", f"--E1-ratio={ratio}", "--t1", "4", "--t0", "1"])
+    assert (code, err) == (expected_code, expected_err)
+    assert energy_line in out if energy_line else out == ""
+
+
 def test_epoch_radiation_joules_matches_library(run_cli):
     code, out, _ = run_cli(
         [

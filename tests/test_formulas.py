@@ -66,6 +66,7 @@ EXPECTED_DIMS = {
     "BETA": Dimension(),
     "GAMMA": Dimension(),
     "MAX_OPS_PER_SEC": Dimension(0, 0, -1),
+    "ENERGY_FOR_OPS_RATE": Dimension(2, 1, -2),
     "MIN_FLIP_TIME": Dimension(0, 0, 1),
     "MAX_BITS": Dimension(),
     "MAX_IO_RATE": Dimension(0, 0, -1),
@@ -180,6 +181,18 @@ def test_outside_the_table_only_an_age_in_years_and_the_residuals_build_a_quanti
         if path.name not in ("dimq.py", "formulas.py"):
             builders |= _referrers(path, "_new")
     assert builders == {"cosmo._years", "largenum._identities"}
+
+
+def test_outside_the_table_no_module_evaluates_a_row():
+    # a row is evaluated by formulas alone, each once, by a plan; every other
+    # module reads the value a plan or the profile's table stored
+    calls = set()
+    for path in SOURCES:
+        if path.name == "formulas.py":
+            continue
+        calls |= {scope for scope, node in _scoped_nodes(path) if isinstance(node, ast.Call)
+                  and _read_name(node.func) == "log10" and _read_name(node.func.value) != "math"}
+    assert calls == set()
 
 
 def _symbols_written(path):
@@ -326,6 +339,7 @@ ORACLE = {
     "BETA": (lambda v: v.c**3 * v.t * v.m_e / v.e2, FAR),
     "GAMMA": (lambda v: mp.sqrt(v.rho * v.c**3 * v.t**3 / v.m_p), FAR),
     "MAX_OPS_PER_SEC": (lambda v: 2 * v.E / (mp.pi * v.hbar), FAR),
+    "ENERGY_FOR_OPS_RATE": (lambda v: mp.pi / 2 * v.hbar * v.rate, FAR),
     "MIN_FLIP_TIME": (lambda v: mp.pi * v.hbar / (2 * v.E), FAR),
     "MAX_BITS": (lambda v: v.S / (v.k_B * LN2), FAR),
     "MAX_IO_RATE": (lambda v: v.c * v.S / (v.k_B * v.R), FAR),
@@ -362,6 +376,7 @@ def _oracle_inputs(inp: dict, horizon: dict) -> dict:
         "weight": mp.mpf(weight.numerator) / weight.denominator,
         "E": E, "S": S, "R": R, "T": T, "V": R**3, "A": R**2,
         "ops": E * t,  # any count: apply_gravity doubles whatever it is given
+        "rate": S / t,  # any rate: ENERGY_FOR_OPS_RATE scales whatever it is given
         "tail": 1 - mp.sqrt(t0 / t),
         **{k: mp.mpf(v) for k, v in fleet.items()},
     }

@@ -6,9 +6,12 @@ once and are never rewritten by the suite; an intended change of output
 means editing them by hand, in the same change, and saying so.
 """
 
+import cProfile
 from pathlib import Path
 
 import pytest
+
+from cosmocap import dimq
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -80,3 +83,21 @@ def test_cli_matches_golden(run_cli, name, argv):
     code, out, _ = run_cli(resolve(argv))
     expected = (GOLDEN / f"{name}.out").read_bytes()
     assert f"exit {code}\n{out}".encode("utf-8") == expected
+
+
+# the Quantity algebra a run could call: the module functions and the operator dunders
+_ALGEBRA = {f"dimq.{name}": getattr(dimq, name).__code__
+            for name in ("mul", "div", "add", "sub", "pow_rational", "approx_eq")}
+_ALGEBRA.update({f"Quantity.{name}": getattr(dimq.Quantity, name).__code__ for name in (
+    "__mul__", "__truediv__", "__add__", "__sub__", "__pow__", "__neg__")})
+
+
+def test_no_cli_run_calls_the_quantity_algebra(run_cli):
+    # every number a run shows is a formula row's, evaluated in formulas
+    called = set()
+    for name, argv in GOLDEN_CASES:
+        profiler = cProfile.Profile()
+        profiler.runcall(run_cli, resolve(argv))
+        codes = {entry.code for entry in profiler.getstats()}
+        called |= {(name, fn) for fn, code in _ALGEBRA.items() if code in codes}
+    assert called == set()
