@@ -46,7 +46,6 @@ from .dimq import (
     quantity_to_jsonable,
     read_fields,
     read_json_object,
-    zero,
 )
 from .formulas import DEFAULT_DENSITY, ENERGY_FOR_OPS_RATE, environment, given
 from .largenum import identities
@@ -334,10 +333,10 @@ def cmd_epoch_radiation(args: argparse.Namespace) -> Table:
     profile = _profile_from_flag(args)
     if args.e1_joules is not None:
         e1 = given("e1", args.e1_joules)
-    else:  # E1 with 2 E1/(pi hbar) = r ops/sec; an r <= 0 gives E1 = 0, which is refused
-        rate = given("rate", args.e1_ratio)
-        e1 = (ENERGY_FOR_OPS_RATE.quantity(environment(profile, rate=rate)) if rate.sign > 0
-              else zero(ENERGY_FOR_OPS_RATE.dimension))
+    else:  # E1 with 2 E1/(pi hbar) = r ops/sec
+        if not args.e1_ratio > 0:
+            raise ValueError("--E1-ratio must be > 0")
+        e1 = ENERGY_FOR_OPS_RATE.quantity(environment(profile, rate=given("rate", args.e1_ratio)))
     t1 = given("t1", args.t1)
     t0 = given("t0", args.t0)
     ops = cosmo.ops_radiation(e1, t1, t0, profile)
@@ -458,8 +457,19 @@ class _FloatFlag(argparse.Action):
     as one ``error:`` line with exit 2, like any other malformed number.
     """
 
+    finite = False
+
     def __call__(self, parser, namespace, values, option_string=None) -> None:
-        setattr(namespace, self.dest, parse_float(values, option_string))
+        value = parse_float(values, option_string)
+        if self.finite and not math.isfinite(value):
+            raise InputError(f"{option_string}: value must be finite, got {value!r}")
+        setattr(namespace, self.dest, value)
+
+
+class _QuantityFlag(_FloatFlag):
+    """A flag whose value becomes a quantity: nan and ±inf are refused by its name."""
+
+    finite = True
 
 
 _PROFILE = ("--profile", dict(help="constants profile: paper, codata, or a JSON file"))
@@ -480,27 +490,27 @@ _COMMANDS = (
     )),
     (("epoch",), dict(help="one epoch's numbers"), None, ()),
     (("epoch", "matter"), {}, cmd_epoch_matter, (
-        ("--rho", dict(action=_FloatFlag, default=cosmo.PAPER_RHO_KG_M3, help="kg/m3")),
-        ("--age-years", dict(action=_FloatFlag, default=cosmo.PAPER_AGE_YEARS)),
+        ("--rho", dict(action=_QuantityFlag, default=cosmo.PAPER_RHO_KG_M3, help="kg/m3")),
+        ("--age-years", dict(action=_QuantityFlag, default=cosmo.PAPER_AGE_YEARS)),
         _PROFILE,
     )),
     (("epoch", "radiation"), {}, cmd_epoch_radiation, (
-        [("--E1-joules", dict(dest="e1_joules", action=_FloatFlag)),
-         ("--E1-ratio", dict(dest="e1_ratio", action=_FloatFlag,
+        [("--E1-joules", dict(dest="e1_joules", action=_QuantityFlag)),
+         ("--E1-ratio", dict(dest="e1_ratio", action=_QuantityFlag,
                              help="E1 given as its op rate: 2 E1/(pi hbar) in ops/sec"))],
-        ("--t1", dict(action=_FloatFlag, required=True, help="seconds")),
-        ("--t0", dict(action=_FloatFlag, required=True, help="seconds")),
-        ("--temperature-k", dict(action=_FloatFlag)),
+        ("--t1", dict(action=_QuantityFlag, required=True, help="seconds")),
+        ("--t0", dict(action=_QuantityFlag, required=True, help="seconds")),
+        ("--temperature-k", dict(action=_QuantityFlag)),
         _PROFILE,
     )),
     (("epoch", "inflation"), {}, cmd_epoch_inflation, (
-        ("--H", dict(dest="hubble", action=_FloatFlag, help="1/seconds")),
+        ("--H", dict(dest="hubble", action=_QuantityFlag, help="1/seconds")),
         ("--growth", dict(help="linear growth band as CENTER:HALFWIDTH in decades")),
         _PROFILE,
     )),
     (("large-numbers",), {}, cmd_large_numbers, (
-        ("--rho", dict(action=_FloatFlag, help="kg/m3 (default: critical density)")),
-        ("--age-years", dict(action=_FloatFlag, default=cosmo.PAPER_AGE_YEARS)),
+        ("--rho", dict(action=_QuantityFlag, help="kg/m3 (default: critical density)")),
+        ("--age-years", dict(action=_QuantityFlag, default=cosmo.PAPER_AGE_YEARS)),
         _PROFILE,
     )),
     (("constants",), {}, cmd_constants, (

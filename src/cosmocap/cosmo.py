@@ -28,6 +28,7 @@ and ``full_report`` evaluates all of its rows on one set of log10 inputs.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from . import formulas as f
@@ -77,6 +78,8 @@ __all__ = [
 _LN10 = math.log(10.0)
 # n_eff per polarization state and particle, in eighths: 1 for a boson, 7/8 for a fermion
 _EIGHTHS = {"boson": 8, "fermion": 7}
+_STATISTICS = tuple(_EIGHTHS)  # a tuple: a list as statistics is refused, not unhashable
+_MAX_DOUBLE = sys.float_info.max
 
 # InflationBounds' rows in field order; the plans inflation_bounds and full_report evaluate
 _INFLATION_ROWS = (f.INFLATION_OPS_PER_SEC, f.INFLATION_OPS_PER_HUBBLE_TIME,
@@ -99,7 +102,17 @@ class Species(Record):
     __slots__ = ("name", "polarizations", "particle_antiparticle", "statistics")
 
     def _check(self) -> None:
-        # every rule on a species' fields, for species built in code or read from a file
+        # every rule on a species' fields, for species built in code or read from a file;
+        # a species that passes them with exact ints costs one test, and only the
+        # others build the label that names the species in a refusal
+        p, a = self.polarizations, self.particle_antiparticle
+        if not (p.__class__ is int and a.__class__ is int and 1 <= p <= _MAX_DOUBLE
+                and a in (1, 2) and self.statistics in _STATISTICS
+                and isinstance(self.name, str)):
+            self._refuse()
+
+    def _refuse(self) -> None:
+        """Raise the first rule the fields break; return if they break none (an int subclass)."""
         if not isinstance(self.name, str):
             raise InputError("species name must be a string")
         what = f"species {self.name!r}"
@@ -110,7 +123,7 @@ class Species(Record):
             raise InputError(f"{what}: polarizations must be >= 1")
         if self.particle_antiparticle not in (1, 2):
             raise InputError(f"{what}: particle_antiparticle must be 1 or 2")
-        if self.statistics not in ("boson", "fermion"):
+        if self.statistics not in _STATISTICS:
             raise InputError(f"{what}: statistics must be boson or fermion, got {self.statistics!r}")
 
     @property
@@ -408,7 +421,7 @@ def full_report(scenario: Scenario) -> CapacityReport:
     # bits_holographic is the ops_critical value itself
     ops_c = f.OPS_CRITICAL.read(env)
     growth = scenario.inflation_growth
-    return CapacityReport(  # by position, which skips Record._arguments
+    return CapacityReport(  # by position
         ops,
         ops_c,
         apply_gravity(ops, scenario.include_gravity),

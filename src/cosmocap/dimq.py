@@ -26,6 +26,14 @@ the key set is not a subset of the table's, each pair that is a list of
 two exact ints (what ``json`` builds) is taken as it is, and the five
 pairs go to one lcm and one reduction.  Tuples, int subclasses and
 other mappings take the general checks, with the same result.
+
+``Quantity``, ``LogInterval`` and the package's other records share one
+frozen, slotted base, ``Record``.  Each record class gets a constructor
+of its own, compiled from its fields with ``exec`` when the class is
+first built: a call binds its fields by position or by name, each slot
+is set by its own setter, and the class's ``_check`` runs if it has one.
+Only a call that does not bind reaches ``Record._arguments``, which
+words the refusal.
 """
 
 from __future__ import annotations
@@ -265,41 +273,82 @@ class Record:
     ``object.__setattr__``, the only way to set a slot.  Records compare
     and hash by their field values, and pickle and copy through their
     constructor, so a loaded record is checked again.
+
+    Each subclass gets its own ``__init__``, which ``_compile`` writes from
+    its fields when the class is first built, never at import; a subclass
+    of a subclass gets its own, never its parent's.  A subclass whose body
+    defines ``__init__`` keeps it, and its subclasses inherit it.  The
+    compiled constructor sets each slot with its own setter and calls
+    ``_check`` only when the class has one; ``_arguments`` is called only
+    to word a call that does not bind.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
     _defaults: dict[str, object] = {}
     _setters: tuple = ()  # each field's slot setter, which __setattr__ does not reach
+    _compiles = True  # False from the first class whose body defines __init__ down
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         if "_fields" not in cls.__dict__:
             cls._fields = cls.__slots__
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+        if "__init__" in cls.__dict__:
+            cls._compiles = False
+        elif cls._compiles:
+            cls.__init__ = _first_init
 
     def __init__(self, *args: object, **kwargs: object) -> None:
-        if kwargs or len(args) != len(self._fields):
-            args = self._arguments(args, kwargs)
-        for setter, value in zip(self._setters, args):
-            setter(self, value)
-        self._check()
+        # a class's first construction compiles its constructor; a hand-written
+        # __init__ below that calls super().__init__ is left in place
+        cls = next(k for k in type(self).__mro__ if k.__dict__.get("__init__") is _first_init)
+        cls.__init__ = cls._compile()
+        cls.__init__(self, *args, **kwargs)
 
     @classmethod
-    def _arguments(cls, args: tuple, kwargs: dict[str, object]) -> tuple:
-        """Every field's value, in order, from a call that left some out or named some."""
+    def _compile(cls) -> Callable[..., None]:
+        """This class's __init__, written from ``_INIT`` and its fields and run
+        through exec, as dataclasses and namedtuple write theirs."""
+        names, defaults = cls._fields, cls._defaults
+        required = [i for i, name in enumerate(names) if name not in defaults]
+        lines = [_INIT.format(parameters="".join(f"{name}=_M, " for name in names),
+                              fields="".join(f"{name}, " for name in names),
+                              last=f" or {names[required[-1]]} is _M" if required else "")]
+        lines += [f"    _set_{name}(self, _default_{name} if {name} is _M else {name})"
+                  if name in defaults else f"    _set_{name}(self, {name})" for name in names]
+        if cls._check is not Record._check:
+            lines.append("    self._check()")
+        namespace = {"_M": _MISSING, "_index": {name: i for i, name in enumerate(names)},
+                     "_required": required, "_arguments": cls._arguments}
+        namespace.update({f"_set_{name}": setter for name, setter in zip(names, cls._setters)})
+        namespace.update({f"_default_{name}": default for name, default in defaults.items()})
+        exec("\n".join(lines), namespace)
+        init = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        return init
+
+    @classmethod
+    def _arguments(cls, given: tuple, args: tuple, kwargs: dict[str, object]) -> None:
+        """Raise the TypeError that words a call which does not bind to the fields.
+
+        ``given`` holds the field parameters of the compiled ``__init__``
+        (the marker for a field not given by position), ``args`` the
+        positional arguments past them and ``kwargs`` the call's keywords.
+        """
         names = cls._fields
+        args = (*[value for value in given if value is not _MISSING], *args)
         if len(args) > len(names):
             raise TypeError(f"{cls.__name__}() takes {len(names)} arguments, got {len(args)}")
-        given = dict(zip(names, args))
+        by_position = dict(zip(names, args))
         for name in kwargs:
-            if name in given or name not in names:
+            if name in by_position or name not in names:
                 raise TypeError(f"{cls.__name__}() got an unexpected or repeated argument {name!r}")
-        values = {**cls._defaults, **given, **kwargs}
+        values = {**cls._defaults, **by_position, **kwargs}
         for name in names:
             if name not in values:
                 raise TypeError(f"{cls.__name__}() missing required argument: {name!r}")
-        return tuple([values[name] for name in names])
+        raise AssertionError(f"{cls.__name__}() refused a call that binds")
 
     def _check(self) -> None:
         """Validate the fields; a subclass with rules overrides this."""
@@ -329,6 +378,33 @@ class Record:
         return type(self), self._values()
 
 
+_first_init = Record.__init__  # each subclass's __init__ until its first construction
+_MISSING = object()  # a field the call did not give
+
+# The head of every compiled Record constructor.  Each field is a positional-only
+# parameter defaulting to the marker _M, so a call by position binds natively and is
+# tested once, on its last required field; each name a call gives goes to its field's
+# index.  A field given by position and by name would make CPython word the refusal.
+_INIT = """\
+def __init__(self, {parameters}/, *_args, **_kwargs):
+    if _kwargs:
+        _given = ({fields})
+        _values = [*_given]
+        for _name in _kwargs:
+            _i = _index.get(_name)
+            if _i is None or _values[_i] is not _M:
+                _arguments(_given, _args, _kwargs)
+            _values[_i] = _kwargs[_name]
+        if _args or any(_values[_i] is _M for _i in _required):
+            _arguments(_given, _args, _kwargs)
+        {fields}= _values
+    elif _args{last}:  # by position, the fields given are the first ones
+        _arguments(({fields}), _args, _kwargs)"""
+
+
+_isfinite, _object_new = math.isfinite, object.__new__  # module globals: one lookup each
+
+
 class Quantity(Record):
     """A signed magnitude kept as log10, tagged with a dimension.
 
@@ -345,9 +421,9 @@ class Quantity(Record):
         # dimension are right by construction, come here without __init__
         if sign == 0:
             log10 = 0.0
-        elif not math.isfinite(log10):
+        elif not _isfinite(log10):
             raise ValueError(f"log10 must be finite, got {log10!r}")
-        q = object.__new__(cls)
+        q = _object_new(cls)
         _set_sign(q, sign)
         _set_log10(q, log10)
         _set_dimension(q, dimension)
@@ -641,9 +717,10 @@ class LogInterval(Record):
             raise InputError(
                 f"halfwidth must be finite and >= 0, got {self.halfwidth!r}"
             )
-        for name, value in zip(self._fields, self._values()):
-            if value == 0 and math.copysign(1.0, value) < 0:  # -0.0 would print as "-0"
-                object.__setattr__(self, name, 0.0)
+        if self.center == 0 or self.halfwidth == 0:
+            for name, value in zip(self._fields, self._values()):
+                if value == 0 and math.copysign(1.0, value) < 0:  # -0.0 would print as "-0"
+                    object.__setattr__(self, name, 0.0)
 
     def __str__(self) -> str:
         return f"10^{{{self.center:g}±{self.halfwidth:g}}}"

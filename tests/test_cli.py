@@ -785,22 +785,54 @@ def test_epoch_radiation_from_zero(run_cli):
     assert "ops: 8.000e+00" in out
 
 
-# a ratio <= 0 gives an energy that ops_radiation refuses; a literal that is not a
-# double is malformed; the extreme doubles give an energy well inside range
+# a ratio <= 0 is refused as unphysical and a literal that is not a finite double as
+# malformed, each by the flag's name; the extreme doubles give an energy well inside range
 @pytest.mark.parametrize(("ratio", "expected_code", "expected_err", "energy_line"), [
-    ("0", 3, "error: e1 must be > 0\n", None),
-    ("-0", 3, "error: e1 must be > 0\n", None),
-    ("-1", 3, "error: e1 must be > 0\n", None),
+    ("0", 3, "error: --E1-ratio must be > 0\n", None),
+    ("-0", 3, "error: --E1-ratio must be > 0\n", None),
+    ("-1", 3, "error: --E1-ratio must be > 0\n", None),
     ("5e-324", 0, "", "E at t1: 10^-357.09 [L^2 M T^-2]\n"),
     ("1e-400", 2, "error: --E1-ratio: 1e-400 is nonzero but below double range\n", None),
-    ("inf", 2, "error: value must be finite, got inf\n", None),
-    ("nan", 2, "error: value must be finite, got nan\n", None),
+    ("inf", 2, "error: --E1-ratio: value must be finite, got inf\n", None),
+    ("nan", 2, "error: --E1-ratio: value must be finite, got nan\n", None),
     ("1.7976931348623157e308", 0, "", "E at t1: 10^274.47 [L^2 M T^-2]\n"),
 ])
 def test_e1_ratio_at_its_edges(run_cli, ratio, expected_code, expected_err, energy_line):
     code, out, err = run_cli(["epoch", "radiation", f"--E1-ratio={ratio}", "--t1", "4", "--t0", "1"])
     assert (code, err) == (expected_code, expected_err)
     assert energy_line in out if energy_line else out == ""
+
+
+# every flag whose value becomes a quantity refuses nan and the infinities by its name,
+# before any command reads it; a literal beyond double range reads as an infinity
+_NON_FINITE_FLAGS = [
+    (["epoch", "matter", "--rho", "nan"], "--rho: value must be finite, got nan"),
+    (["epoch", "matter", "--age-years", "1e400"], "--age-years: value must be finite, got inf"),
+    (["epoch", "radiation", "--E1-joules=-inf", "--t1", "4", "--t0", "1"],
+     "--E1-joules: value must be finite, got -inf"),
+    (["epoch", "radiation", "--E1-ratio", "1", "--t1", "inf", "--t0", "1"],
+     "--t1: value must be finite, got inf"),
+    (["epoch", "radiation", "--E1-ratio", "1", "--t1", "4", "--t0", "nan"],
+     "--t0: value must be finite, got nan"),
+    # malformed before unphysical: the bad temperature wins over the ratio <= 0
+    (["epoch", "radiation", "--E1-ratio=-1", "--t1", "4", "--t0", "1", "--temperature-k", "inf"],
+     "--temperature-k: value must be finite, got inf"),
+    (["epoch", "inflation", "--H=-1e400"], "--H: value must be finite, got -inf"),
+    (["large-numbers", "--rho", "inf"], "--rho: value must be finite, got inf"),
+    (["large-numbers", "--age-years=-1", "--rho", "nan"], "--rho: value must be finite, got nan"),
+]
+
+
+@pytest.mark.parametrize(("argv", "refused"), _NON_FINITE_FLAGS,
+                         ids=[" ".join(argv) for argv, _ in _NON_FINITE_FLAGS])
+def test_a_non_finite_flag_value_is_refused_by_the_flag_name(run_cli, argv, refused):
+    assert run_cli(argv) == (2, "", f"error: {refused}\n")
+
+
+def test_an_infinite_tolerance_is_still_accepted(run_cli):
+    # --tolerance-decades never becomes a quantity: inf accepts every gap, nan is refused as <= 0
+    code, out, err = run_cli(["report", "--default-paper", "--tolerance-decades", "inf"])
+    assert (code, err) == (0, "") and "tolerance inf)" in out
 
 
 def test_epoch_radiation_joules_matches_library(run_cli):

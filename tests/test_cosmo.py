@@ -109,6 +109,44 @@ def test_species_fields_are_checked_by_species():
             Species(*fields)
 
 
+_INTEGERS = "polarizations and particle_antiparticle must be integers"
+
+
+# each refusal's exact message; a species that passes takes none of these paths
+_SPECIES_REFUSALS = [
+    ((5, 2, 1, "boson"), "species name must be a string"),
+    (("x", True, 1, "boson"), f"species 'x': {_INTEGERS}"),
+    (("x", 2.0, 1, "boson"), f"species 'x': {_INTEGERS}"),
+    (("x", "2", 1, "boson"), f"species 'x': {_INTEGERS}"),
+    (("x", 2, True, "boson"), f"species 'x': {_INTEGERS}"),
+    (("x", 0, 1, "boson"), "species 'x': polarizations must be >= 1"),
+    (("x", 10**400, 1, "boson"), "species 'x': polarizations must be finite and fit in a double"),
+    (("x", 2, 3, "boson"), "species 'x': particle_antiparticle must be 1 or 2"),
+    (("x", 2, 1, "quark"), "species 'x': statistics must be boson or fermion, got 'quark'"),
+    # an unhashable statistics is refused as input, never a TypeError from a lookup
+    (("x", 2, 1, ["boson"]), "species 'x': statistics must be boson or fermion, got ['boson']"),
+    (("it's", 2, 1, "anyon"),
+     """species "it's": statistics must be boson or fermion, got 'anyon'"""),
+]
+
+
+@pytest.mark.parametrize(("fields", "message"), _SPECIES_REFUSALS,
+                         ids=[repr(fields) for fields, _ in _SPECIES_REFUSALS])
+def test_species_refusals_are_worded_exactly(fields, message):
+    with pytest.raises(InputError) as info:
+        Species(*fields)
+    assert type(info.value) is InputError and str(info.value) == message
+
+
+def test_species_takes_an_int_subclass():
+    class Count(int):
+        pass
+
+    species = Species("nu", Count(2), Count(2), "fermion")
+    assert species.weight == Fraction(7, 2) and type(species.polarizations) is Count
+    assert SpeciesTable((species,)).total_weight() == Fraction(7, 2)
+
+
 def test_species_table_total_and_empty():
     table = SpeciesTable(
         (Species("photon", 2, 1, "boson"), Species("nu", 2, 2, "fermion"))

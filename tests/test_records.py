@@ -2,7 +2,8 @@
 
 Every record type and ``Quantity`` share one base, ``dimq.Record``.
 These tests pin what that base promises (immutability, positional and
-keyword construction, defaults, value equality, pickling), and that
+keyword construction, defaults, value equality, pickling), that each
+record class builds through a constructor compiled for it alone, and that
 importing the CLI loads none of the modules the base replaced.
 """
 
@@ -46,6 +47,7 @@ from cosmocap import (
     make,
     system_limits,
 )
+from cosmocap import dimq
 from cosmocap.cosmo import paper_scenario
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -241,6 +243,108 @@ def test_arithmetic_results_are_full_quantities():
     assert type(q) is Quantity and q == make(1.5, LENGTH)
     with pytest.raises(AttributeError):
         q.sign = 0
+
+
+def _band_classes():
+    """A record subclass and a subclass of it that adds a defaulted field and a check."""
+
+    class Band(dimq.Record):
+        __slots__ = ("low", "high")
+
+        def _check(self):
+            if not self.low <= self.high:
+                raise ValueError("low must not exceed high")
+
+    class NamedBand(Band):
+        __slots__ = ("name",)
+        _fields = ("low", "high", "name")
+        _defaults = {"name": "band"}
+
+        def _check(self):
+            super()._check()
+            if not isinstance(self.name, str):
+                raise TypeError("name must be a string")
+
+    return Band, NamedBand
+
+
+_Band, _NamedBand = _band_classes()  # at module level, where pickle finds them by name
+_Band.__qualname__, _NamedBand.__qualname__ = "_Band", "_NamedBand"
+
+
+@pytest.mark.parametrize("parent_first", [True, False], ids=["parent-first", "child-first"])
+def test_a_subclass_of_a_record_subclass_compiles_its_own_constructor(parent_first):
+    Band, NamedBand = _band_classes()
+    # neither is compiled at class creation; each compiles on its own first construction
+    assert Band.__dict__["__init__"] is NamedBand.__dict__["__init__"] is dimq._first_init
+    if parent_first:
+        assert Band(1, 2)._values() == (1, 2)
+    builds = [NamedBand(1, 2), NamedBand(1, 2, "band"), NamedBand(low=1, high=2),
+              NamedBand(1, high=2, name="band"), NamedBand(name="band", high=2, low=1)]
+    assert {b._values() for b in builds} == {(1, 2, "band")}
+    assert all(type(b) is NamedBand for b in builds)
+    assert NamedBand(1, 2, "b").name == "b"
+    # the parent builds with its own fields alone, whichever was built first
+    assert Band(1, 2)._values() == Band(low=1, high=2)._values() == (1, 2)
+    assert NamedBand.__init__ is not Band.__init__
+    with pytest.raises(TypeError, match=r"^Band\(\) takes 2 arguments, got 3$"):
+        Band(1, 2, "band")
+    with pytest.raises(TypeError, match=r"^Band\(\) got an unexpected or repeated argument 'name'$"):
+        Band(1, 2, name="band")
+    # each runs its own check: the child's calls the parent's too
+    with pytest.raises(ValueError, match="^low must not exceed high$"):
+        NamedBand(2, 1)
+    with pytest.raises(ValueError, match="^low must not exceed high$"):
+        Band(high=1, low=2)
+    with pytest.raises(TypeError, match="^name must be a string$"):
+        NamedBand(1, 2, name=3)
+    with pytest.raises(TypeError, match=r"^NamedBand\(\) missing required argument: 'high'$"):
+        NamedBand(1, name="band")
+    with pytest.raises(TypeError, match=r"^NamedBand\(\) takes 3 arguments, got 4$"):
+        NamedBand(1, 2, "band", None)
+    repeated = r"^NamedBand\(\) got an unexpected or repeated argument 'low'$"
+    with pytest.raises(TypeError, match=repeated):
+        NamedBand(1, 2, low=1)
+
+
+def test_a_subclass_of_a_record_subclass_pickles_and_copies():
+    for record in (_NamedBand(1, 2), _NamedBand(1.5, 2.5, "b"), _Band(-1, 1)):
+        for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+            assert type(clone) is type(record) and clone == record and clone is not record
+            assert repr(clone) == repr(record)
+    assert repr(_NamedBand(1, 2)) == "_NamedBand(low=1, high=2, name='band')"
+
+
+def test_a_record_with_a_hand_written_init_keeps_it_for_its_subclasses():
+    class Signed(Quantity):
+        __slots__ = ()
+
+    assert Signed.__init__ is Quantity.__init__
+    assert type(Signed(1, 2.0, ENERGY)) is Signed
+    with pytest.raises(ValueError, match="sign must be -1, 0 or"):
+        Signed(2, 2.0)
+
+
+def test_import_compiles_only_the_constructors_it_uses():
+    # import builds the built-in profiles, the photon table and the default fleet; every
+    # other record class keeps its first-call stub until a caller builds one
+    code = (
+        "import cosmocap, cosmocap.cli\n"
+        "from cosmocap import dimq\n"
+        "def below(c):\n"
+        "    for s in c.__subclasses__():\n"
+        "        yield s\n"
+        "        yield from below(s)\n"
+        "print(' '.join(sorted(c.__name__ for c in below(dimq.Record)\n"
+        "                      if c.__dict__['__init__'] is not dimq._first_init)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ConstantsProfile", "FleetSpec", "Quantity", "Species",
+                                   "SpeciesTable"]
 
 
 def test_import_loads_no_dataclasses_typing_or_inspect():
