@@ -377,8 +377,11 @@ def cmd_epoch_inflation(args: argparse.Namespace) -> Table:
         center, sep, halfwidth = args.growth.partition(":")
         if not sep:
             raise InputError("--growth must look like CENTER:HALFWIDTH, e.g. 10:6")
-        # the constructor a scenario's inflation_growth_log10 goes through
-        growth = LogInterval(parse_float(center, "--growth"), parse_float(halfwidth, "--growth"))
+        values = parse_float(center, "--growth"), parse_float(halfwidth, "--growth")
+        try:  # the constructor a scenario's inflation_growth_log10 goes through
+            growth = LogInterval(*values)
+        except InputError as exc:
+            raise InputError(f"--growth: {exc}") from None
         total = cosmo.inflation_total_ops(growth)
     rows = [_row(None, ("epoch", "inflation"))]
     for key, label in (
@@ -564,7 +567,7 @@ def _run(argv: list[str] | None) -> int:
         if code is None:
             return EXIT_OK
         return code if isinstance(code, int) else EXIT_USAGE
-    except (ValueError, KeyError, ZeroDivisionError, OverflowError) as exc:
+    except (ValueError, KeyError, OverflowError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, InputError) else EXIT_DOMAIN

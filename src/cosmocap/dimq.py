@@ -29,11 +29,10 @@ other mappings take the general checks, with the same result.
 
 ``Quantity``, ``LogInterval`` and the package's other records share one
 frozen, slotted base, ``Record``.  Each record class gets a constructor
-of its own, compiled from its fields with ``exec`` when the class is
-first built: a call binds its fields by position or by name, each slot
-is set by its own setter, and the class's ``_check`` runs if it has one.
-Only a call that does not bind reaches ``Record._arguments``, which
-words the refusal.
+of its own, a plain ``def`` of its fields compiled with ``exec`` when the
+class is created: CPython binds a call by position or by name and words
+every refusal, each slot is set by its own setter, and the class's
+``_check`` runs if it has one.
 """
 
 from __future__ import annotations
@@ -265,9 +264,9 @@ class Record:
     """Base of the package's frozen records.
 
     A subclass names its fields in ``__slots__``, in order, and gives the
-    defaults of its optional fields in ``_defaults``.  A record that also
-    keeps a value derived from its fields lists the fields alone in
-    ``_fields`` and the derived slots after them in ``__slots__``.
+    defaults of its optional fields, which come last, in ``_defaults``.  A
+    record that also keeps a value derived from its fields lists the fields
+    alone in ``_fields`` and the derived slots after them in ``__slots__``.
     Fields are taken by position or by name, then ``_check`` validates
     them; it may fill a derived default or a derived slot with
     ``object.__setattr__``, the only way to set a slot.  Records compare
@@ -275,12 +274,12 @@ class Record:
     constructor, so a loaded record is checked again.
 
     Each subclass gets its own ``__init__``, which ``_compile`` writes from
-    its fields when the class is first built, never at import; a subclass
-    of a subclass gets its own, never its parent's.  A subclass whose body
-    defines ``__init__`` keeps it, and its subclasses inherit it.  The
-    compiled constructor sets each slot with its own setter and calls
-    ``_check`` only when the class has one; ``_arguments`` is called only
-    to word a call that does not bind.
+    its fields when the class is created; a subclass of a subclass gets its
+    own, never its parent's.  A subclass whose body defines ``__init__``
+    keeps it, and its subclasses inherit it.  The compiled constructor
+    takes each field as a parameter, with its default if it has one, so
+    CPython binds the call and words a refusal; it sets each slot with its
+    own setter and calls ``_check`` only when the class has one.
     """
 
     __slots__ = ()
@@ -297,58 +296,24 @@ class Record:
         if "__init__" in cls.__dict__:
             cls._compiles = False
         elif cls._compiles:
-            cls.__init__ = _first_init
-
-    def __init__(self, *args: object, **kwargs: object) -> None:
-        # a class's first construction compiles its constructor; a hand-written
-        # __init__ below that calls super().__init__ is left in place
-        cls = next(k for k in type(self).__mro__ if k.__dict__.get("__init__") is _first_init)
-        cls.__init__ = cls._compile()
-        cls.__init__(self, *args, **kwargs)
+            cls.__init__ = cls._compile()
 
     @classmethod
     def _compile(cls) -> Callable[..., None]:
-        """This class's __init__, written from ``_INIT`` and its fields and run
-        through exec, as dataclasses and namedtuple write theirs."""
+        """This class's __init__, a plain def of its fields run through exec,
+        as dataclasses and namedtuple write theirs."""
         names, defaults = cls._fields, cls._defaults
-        required = [i for i, name in enumerate(names) if name not in defaults]
-        lines = [_INIT.format(parameters="".join(f"{name}=_M, " for name in names),
-                              fields="".join(f"{name}, " for name in names),
-                              last=f" or {names[required[-1]]} is _M" if required else "")]
-        lines += [f"    _set_{name}(self, _default_{name} if {name} is _M else {name})"
-                  if name in defaults else f"    _set_{name}(self, {name})" for name in names]
+        parameters = [f"{name}=_default_{name}" if name in defaults else name for name in names]
+        lines = [f"def __init__(self, {', '.join(parameters)}):"]
+        lines += [f"    _set_{name}(self, {name})" for name in names]
         if cls._check is not Record._check:
             lines.append("    self._check()")
-        namespace = {"_M": _MISSING, "_index": {name: i for i, name in enumerate(names)},
-                     "_required": required, "_arguments": cls._arguments}
-        namespace.update({f"_set_{name}": setter for name, setter in zip(names, cls._setters)})
+        namespace = {f"_set_{name}": setter for name, setter in zip(names, cls._setters)}
         namespace.update({f"_default_{name}": default for name, default in defaults.items()})
         exec("\n".join(lines), namespace)
         init = namespace["__init__"]
         init.__qualname__ = f"{cls.__qualname__}.__init__"
         return init
-
-    @classmethod
-    def _arguments(cls, given: tuple, args: tuple, kwargs: dict[str, object]) -> None:
-        """Raise the TypeError that words a call which does not bind to the fields.
-
-        ``given`` holds the field parameters of the compiled ``__init__``
-        (the marker for a field not given by position), ``args`` the
-        positional arguments past them and ``kwargs`` the call's keywords.
-        """
-        names = cls._fields
-        args = (*[value for value in given if value is not _MISSING], *args)
-        if len(args) > len(names):
-            raise TypeError(f"{cls.__name__}() takes {len(names)} arguments, got {len(args)}")
-        by_position = dict(zip(names, args))
-        for name in kwargs:
-            if name in by_position or name not in names:
-                raise TypeError(f"{cls.__name__}() got an unexpected or repeated argument {name!r}")
-        values = {**cls._defaults, **by_position, **kwargs}
-        for name in names:
-            if name not in values:
-                raise TypeError(f"{cls.__name__}() missing required argument: {name!r}")
-        raise AssertionError(f"{cls.__name__}() refused a call that binds")
 
     def _check(self) -> None:
         """Validate the fields; a subclass with rules overrides this."""
@@ -376,30 +341,6 @@ class Record:
 
     def __reduce__(self):
         return type(self), self._values()
-
-
-_first_init = Record.__init__  # each subclass's __init__ until its first construction
-_MISSING = object()  # a field the call did not give
-
-# The head of every compiled Record constructor.  Each field is a positional-only
-# parameter defaulting to the marker _M, so a call by position binds natively and is
-# tested once, on its last required field; each name a call gives goes to its field's
-# index.  A field given by position and by name would make CPython word the refusal.
-_INIT = """\
-def __init__(self, {parameters}/, *_args, **_kwargs):
-    if _kwargs:
-        _given = ({fields})
-        _values = [*_given]
-        for _name in _kwargs:
-            _i = _index.get(_name)
-            if _i is None or _values[_i] is not _M:
-                _arguments(_given, _args, _kwargs)
-            _values[_i] = _kwargs[_name]
-        if _args or any(_values[_i] is _M for _i in _required):
-            _arguments(_given, _args, _kwargs)
-        {fields}= _values
-    elif _args{last}:  # by position, the fields given are the first ones
-        _arguments(({fields}), _args, _kwargs)"""
 
 
 _isfinite, _object_new = math.isfinite, object.__new__  # module globals: one lookup each

@@ -89,20 +89,6 @@ def test_sweep_operation_builds_no_fraction():
     assert _fractions(_profiled(_sweep_operation)) == 0
 
 
-# Record._arguments calls: each record class binds its fields in the constructor
-# compiled for it, by position or by name, so only a call that does not bind
-# (and must be refused) reaches _arguments, which words the refusal
-@pytest.mark.parametrize("run", [
-    _sweep_operation,
-    lambda: Scenario(rho=make(1e-27, MASS_DENSITY), age=make(3.156e17, TIME),
-                     species=PHOTONS_ONLY, include_gravity=True),
-    lambda: SystemSpec(energy=make(1.0, ENERGY), entropy=make(1e-20, ENTROPY),
-                       radius=make(0.1, LENGTH)),
-], ids=["sweep-operation", "keyword-scenario", "keyword-system-spec"])
-def test_building_records_words_no_refusal(run):
-    assert _calls(_profiled(run), dimq.Record._arguments.__func__.__code__) == 0
-
-
 def _quiet_main(argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0

@@ -820,6 +820,12 @@ _NON_FINITE_FLAGS = [
     (["epoch", "inflation", "--H=-1e400"], "--H: value must be finite, got -inf"),
     (["large-numbers", "--rho", "inf"], "--rho: value must be finite, got inf"),
     (["large-numbers", "--age-years=-1", "--rho", "nan"], "--rho: value must be finite, got nan"),
+    # the growth band's own check words the refusal; the flag's name leads it
+    (["epoch", "inflation", "--growth", "nan:1"], "--growth: center must be finite, got nan"),
+    (["epoch", "inflation", "--growth", "10:inf"],
+     "--growth: halfwidth must be finite and >= 0, got inf"),
+    (["epoch", "inflation", "--growth", "10:-1"],
+     "--growth: halfwidth must be finite and >= 0, got -1.0"),
 ]
 
 
