@@ -279,18 +279,24 @@ _Band, _NamedBand = _band_classes()  # at module level, where pickle finds them 
 _Band.__qualname__, _NamedBand.__qualname__ = "_Band", "_NamedBand"
 
 
-def test_a_subclass_of_a_record_subclass_compiles_its_own_constructor():
+@pytest.mark.parametrize("parent_first", [True, False], ids=["parent-first", "child-first"])
+def test_a_subclass_of_a_record_subclass_compiles_its_own_constructor(parent_first):
     Band, NamedBand = _band_classes()
     # each is compiled when its class is created, from its own fields
     assert "__init__" in Band.__dict__ and "__init__" in NamedBand.__dict__
     assert NamedBand.__init__ is not Band.__init__
+    init_band, init_named = Band.__dict__["__init__"], NamedBand.__dict__["__init__"]
+    if parent_first:
+        assert Band(1, 2)._values() == (1, 2)
     builds = [NamedBand(1, 2), NamedBand(1, 2, "band"), NamedBand(low=1, high=2),
               NamedBand(1, high=2, name="band"), NamedBand(name="band", high=2, low=1)]
     assert {b._values() for b in builds} == {(1, 2, "band")}
     assert all(type(b) is NamedBand for b in builds)
     assert NamedBand(1, 2, "b").name == "b"
-    # the parent builds with its own fields alone
+    # the parent builds with its own fields alone, whichever was built first
     assert Band(1, 2)._values() == Band(low=1, high=2)._values() == (1, 2)
+    # construction swaps in no other constructor, in either order
+    assert Band.__dict__["__init__"] is init_band and NamedBand.__dict__["__init__"] is init_named
     # CPython words each refusal with the constructor's qualified name
     band, named = (re.escape(f"{cls.__qualname__}.__init__()") for cls in (Band, NamedBand))
     with pytest.raises(TypeError, match=rf"^{band} takes 3 positional arguments but 4 were given$"):
