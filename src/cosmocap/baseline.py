@@ -17,11 +17,14 @@ __all__ = ["FleetSpec", "default_fleet", "fleet_bits", "fleet_ops", "historical_
 class FleetSpec(Record):
     """A population of computers described by count, speed and memory."""
 
-    __slots__ = ("n_computers", "clock_rate", "ops_per_cycle", "duration", "bits_per_computer")
+    __slots__ = ("n_computers", "clock_rate", "ops_per_cycle", "duration", "bits_per_computer",
+                 "_log10s")  # _log10s: each field, as the check filed it
 
     def _check(self) -> None:
         # an empty fleet is legal and computes nothing
-        f.environment(None, allow_zero=("n_computers",), **dict(zip(self._fields, self._values())))
+        env = f.environment(None, allow_zero=("n_computers",),
+                            **dict(zip(self._fields, self._values())))
+        object.__setattr__(self, "_log10s", env)
 
     @staticmethod
     def from_counts(
@@ -52,7 +55,7 @@ def fleet_bits(fleet: FleetSpec) -> Quantity:
 def _fleet_row(row: f.Monomial, fleet: FleetSpec) -> Quantity:
     if fleet.n_computers.sign == 0:  # an empty fleet computes and holds nothing
         return zero(row.dimension)
-    return row.quantity(f.record_environment(None, **dict(zip(fleet._fields, fleet._values()))))
+    return row.quantity(dict(fleet._log10s))  # a copy: a plan evaluates its rows into it
 
 
 def historical_ops(fleet: FleetSpec) -> Quantity:

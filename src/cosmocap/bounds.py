@@ -113,18 +113,22 @@ class SystemSpec(Record):
     Area defaults to R^2 when not given (bare square, no 4 pi).
     """
 
-    __slots__ = ("energy", "entropy", "radius", "area")
+    __slots__ = ("energy", "entropy", "radius", "area", "_log10s")  # _log10s: the inputs, filed
     _defaults = {"area": None}
 
     def _check(self) -> None:
         area = {} if self.area is None else {"area": self.area}
-        f.environment(None, energy=self.energy, entropy=self.entropy, radius=self.radius, **area)
+        env = f.environment(None, energy=self.energy, entropy=self.entropy, radius=self.radius,
+                            **area)
+        if self.area is None:  # area stays None; R² is filed as the area
+            f.file_default(env, "area")
+        object.__setattr__(self, "_log10s", env)
 
     def effective_area(self) -> Quantity:
-        """The area, or R² (the ``DEFAULT_AREA`` row) of the checked radius."""
+        """The area, or R² (the ``DEFAULT_AREA`` row) of the checked radius, as filed."""
         if self.area is not None:
             return self.area
-        return f.DEFAULT_AREA.quantity(f.record_environment(None, radius=self.radius))
+        return f.filed(self._log10s, "area")
 
 
 class SystemLimits(Record):
@@ -132,17 +136,15 @@ class SystemLimits(Record):
     __slots__ = ("ops_per_sec", "flip_time", "bits", "io_rate", "bekenstein", "holographic_bits")
 
 
-# SystemLimits' rows in field order and their plan, each row once, by whether an area is given
-_ROWS = (f.MAX_OPS_PER_SEC, f.MIN_FLIP_TIME, f.MAX_BITS, f.MAX_IO_RATE, f.BEKENSTEIN_RATIO)
-_LIMITS = {has_area: (rows, f.plan(*rows)) for has_area, rows in (
-    (True, (*_ROWS, f.HOLOGRAPHIC_BITS)), (False, (*_ROWS, f.DEFAULT_HOLOGRAPHIC_BITS)))}
+# SystemLimits' rows in field order, and their plan, each row once
+_ROWS = (f.MAX_OPS_PER_SEC, f.MIN_FLIP_TIME, f.MAX_BITS, f.MAX_IO_RATE, f.BEKENSTEIN_RATIO,
+         f.HOLOGRAPHIC_BITS)
+_LIMITS = f.plan(*_ROWS)
 
 
 def system_limits(spec: SystemSpec, profile: ConstantsProfile = PAPER) -> SystemLimits:
     """All five limits for one system in a single pass; without an area, on R² of its radius."""
-    area = {} if spec.area is None else {"area": spec.area}
-    (ops, flip, bits, io, ratio, holographic), plan = _LIMITS[spec.area is not None]
-    env = f.evaluate(plan, f.record_environment(profile, energy=spec.energy,
-                                                entropy=spec.entropy, radius=spec.radius, **area))
+    ops, flip, bits, io, ratio, holographic = _ROWS
+    env = f.evaluate(_LIMITS, {**profile._log10s, **spec._log10s})
     return SystemLimits(ops.read(env), flip.read(env), bits.read(env), io.read(env),
                         _bekenstein(ratio.read(env)), holographic.read(env))  # by position

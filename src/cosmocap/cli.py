@@ -47,7 +47,7 @@ from .dimq import (
     read_fields,
     read_json_object,
 )
-from .formulas import DEFAULT_DENSITY, ENERGY_FOR_OPS_RATE, environment, given
+from .formulas import DEFAULT_HUBBLE, ENERGY_FOR_OPS_RATE, environment, given
 from .largenum import identities
 
 __all__ = ["main"]
@@ -192,10 +192,18 @@ def _record(build: Callable[..., object], what: str, reader: Reader, *keys: str)
     return lambda raw, _: build(**read_fields(raw, what, spec))
 
 
+def _band(center: float, halfwidth: float, what: str = "inflation_growth_log10") -> LogInterval:
+    """The growth band 10^(center ± halfwidth) of a file or --growth; a refusal names ``what``."""
+    try:
+        return LogInterval(center, halfwidth)
+    except InputError as exc:
+        raise InputError(f"{what}: {exc}") from None
+
+
 _species_entry = _record(
     cosmo.Species, "species", _as_is, "name", "polarizations", "particle_antiparticle", "statistics"
 )
-_growth = _record(LogInterval, "inflation_growth_log10", number, "center", "halfwidth")
+_growth = _record(_band, "inflation_growth_log10", number, "center", "halfwidth")
 _fleet = _record(
     baseline.FleetSpec.from_counts, "fleet", number,
     "bits_per_computer", "clock_rate_hz", "duration_s", "n_computers", "ops_per_cycle",
@@ -378,11 +386,7 @@ def cmd_epoch_inflation(args: argparse.Namespace) -> Table:
         if not sep:
             raise InputError("--growth must look like CENTER:HALFWIDTH, e.g. 10:6")
         values = parse_float(center, "--growth"), parse_float(halfwidth, "--growth")
-        try:  # the constructor a scenario's inflation_growth_log10 goes through
-            growth = LogInterval(*values)
-        except InputError as exc:
-            raise InputError(f"--growth: {exc}") from None
-        total = cosmo.inflation_total_ops(growth)
+        total = cosmo.inflation_total_ops(_band(*values, "--growth"))
     rows = [_row(None, ("epoch", "inflation"))]
     for key, label in (
         ("ops_per_sec", "ops/s: {}"),
@@ -403,9 +407,10 @@ def cmd_epoch_inflation(args: argparse.Namespace) -> Table:
 def cmd_large_numbers(args: argparse.Namespace) -> Table:
     profile = _profile_from_flag(args)
     age = cosmo._years(make(args.age_years), profile)
-    env = environment(profile, age=age)  # before the default density divides by it
-    # default: critical density 1/(Gt²), where all three residuals sit at 1
-    rho = DEFAULT_DENSITY.quantity(env) if args.rho is None else given("rho", args.rho)
+    env = environment(None, age=age)  # before the default density divides by it
+    # default: critical density 1/(Gt²), H²/G at H = 1/t, where all three residuals sit at 1
+    rho = (cosmo.critical_density(DEFAULT_HUBBLE.quantity(env), "approx", profile)
+           if args.rho is None else given("rho", args.rho))
     report = identities(rho, age, profile)
     rows = [_text("rho: {}, age: {}", rho, age)]
     for name, text, style in _LARGE_NUMBERS:
@@ -567,7 +572,7 @@ def _run(argv: list[str] | None) -> int:
         if code is None:
             return EXIT_OK
         return code if isinstance(code, int) else EXIT_USAGE
-    except (ValueError, KeyError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, InputError) else EXIT_DOMAIN

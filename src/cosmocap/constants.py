@@ -59,7 +59,6 @@ class ConstantsProfile(Record):
     """
 
     __slots__ = ("name", "constants", "_log10s")  # _log10s: formulas.profile_table
-    _fields = ("name", "constants")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 

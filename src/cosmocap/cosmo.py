@@ -40,7 +40,6 @@ from .dimq import (
     Record,
     _new,
     make,
-    number,
     zero,
 )
 from .formulas import GUT_THRESHOLD_GEV
@@ -102,29 +101,23 @@ class Species(Record):
     __slots__ = ("name", "polarizations", "particle_antiparticle", "statistics")
 
     def _check(self) -> None:
-        # every rule on a species' fields, for species built in code or read from a file;
-        # a species that passes them with exact ints costs one test, and only the
-        # others build the label that names the species in a refusal
-        p, a = self.polarizations, self.particle_antiparticle
-        if not (p.__class__ is int and a.__class__ is int and 1 <= p <= _MAX_DOUBLE
-                and a in (1, 2) and self.statistics in _STATISTICS
-                and isinstance(self.name, str)):
-            self._refuse()
-
-    def _refuse(self) -> None:
-        """Raise the first rule the fields break; return if they break none (an int subclass)."""
-        if not isinstance(self.name, str):
+        # every rule on a species' fields, in the order a refusal names them; an exact int
+        # passes its rule on one identity test, and only a refusal builds the species' label
+        name, p, a = self.name, self.polarizations, self.particle_antiparticle
+        if not isinstance(name, str):
             raise InputError("species name must be a string")
-        what = f"species {self.name!r}"
-        if any(isinstance(v, bool) or not isinstance(v, int)
-               for v in (self.polarizations, self.particle_antiparticle)):
-            raise InputError(f"{what}: polarizations and particle_antiparticle must be integers")
-        if number(self.polarizations, f"{what}: polarizations") < 1:
-            raise InputError(f"{what}: polarizations must be >= 1")
-        if self.particle_antiparticle not in (1, 2):
-            raise InputError(f"{what}: particle_antiparticle must be 1 or 2")
+        if not ((p.__class__ is int or isinstance(p, int) and p.__class__ is not bool)
+                and (a.__class__ is int or isinstance(a, int) and a.__class__ is not bool)):
+            raise InputError(
+                f"species {name!r}: polarizations and particle_antiparticle must be integers")
+        if not 1 <= p <= _MAX_DOUBLE:
+            rule = ">= 1" if -_MAX_DOUBLE <= p < 1 else "finite and fit in a double"
+            raise InputError(f"species {name!r}: polarizations must be {rule}")
+        if a not in (1, 2):
+            raise InputError(f"species {name!r}: particle_antiparticle must be 1 or 2")
         if self.statistics not in _STATISTICS:
-            raise InputError(f"{what}: statistics must be boson or fermion, got {self.statistics!r}")
+            raise InputError(
+                f"species {name!r}: statistics must be boson or fermion, got {self.statistics!r}")
 
     @property
     def weight(self) -> Fraction:
@@ -142,7 +135,6 @@ class SpeciesTable(Record):
     """
 
     __slots__ = ("entries", "_eighths")  # entries: tuple[Species, ...]; _eighths: 8 Σ n_eff
-    _fields = ("entries",)
 
     def _check(self) -> None:
         eighths = 0
@@ -362,7 +354,7 @@ class Scenario(Record):
     epoch is a row of the profile's constants, 7e5 years (report metadata only)."""
 
     __slots__ = ("rho", "age", "hubble", "species", "include_gravity", "profile",
-                 "inflation_growth")
+                 "inflation_growth", "_log10s")  # _log10s: rho, age and H as the check filed them
     _defaults = {"hubble": None, "species": PHOTONS_ONLY, "include_gravity": False,
                  "profile": PAPER, "inflation_growth": None}
 
@@ -370,7 +362,9 @@ class Scenario(Record):
         hubble = {} if self.hubble is None else {"hubble": self.hubble}
         env = f.environment(None, rho=self.rho, age=self.age, **hubble)
         if self.hubble is None:  # 1/t of the checked age: a rate > 0 by construction
-            object.__setattr__(self, "hubble", f.DEFAULT_HUBBLE.quantity(env))
+            f.file_default(env, "hubble")
+            object.__setattr__(self, "hubble", f.filed(env, "hubble"))
+        object.__setattr__(self, "_log10s", env)
         if not isinstance(self.species, SpeciesTable):
             raise TypeError("species must be a SpeciesTable")
         if not isinstance(self.include_gravity, bool):
@@ -414,9 +408,9 @@ def full_report(scenario: Scenario) -> CapacityReport:
     (bitwise) outputs.  Every value comes from one table row, the same rows
     the public functions use, each evaluated once on one log10 environment.
     """
-    env = f.evaluate(_REPORT, f.record_environment(
-        scenario.profile, species=scenario.species, rho=scenario.rho, age=scenario.age,
-        hubble=scenario.hubble))
+    env = f.environment(scenario.profile, species=scenario.species)
+    env.update(scenario._log10s)
+    f.evaluate(_REPORT, env)
     ops = f.OPS_MATTER.read(env)
     # bits_holographic is the ops_critical value itself
     ops_c = f.OPS_CRITICAL.read(env)

@@ -265,13 +265,13 @@ class Record:
 
     A subclass names its fields in ``__slots__``, in order, and gives the
     defaults of its optional fields, which come last, in ``_defaults``.  A
-    record that also keeps a value derived from its fields lists the fields
-    alone in ``_fields`` and the derived slots after them in ``__slots__``.
-    Fields are taken by position or by name, then ``_check`` validates
-    them; it may fill a derived default or a derived slot with
-    ``object.__setattr__``, the only way to set a slot.  Records compare
-    and hash by their field values, and pickle and copy through their
-    constructor, so a loaded record is checked again.
+    slot whose name starts with ``_`` is derived, not a field: ``_fields``
+    is the other slots, in order.  Fields are taken by position or by name,
+    then ``_check`` validates them; it may fill a derived default or a
+    derived slot with ``object.__setattr__``, the only way to set a slot.
+    Records compare and hash by their field values, and pickle and copy
+    through their constructor, so a loaded record is checked again and
+    fills its derived slots anew.
 
     Each subclass gets its own ``__init__``, which ``_compile`` writes from
     its fields when the class is created; a subclass of a subclass gets its
@@ -291,7 +291,7 @@ class Record:
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         if "_fields" not in cls.__dict__:
-            cls._fields = cls.__slots__
+            cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
         if "__init__" in cls.__dict__:
             cls._compiles = False

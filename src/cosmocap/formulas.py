@@ -9,15 +9,16 @@ so its log10 is the prefactor's log10 plus a weighted sum of its terms' log10,
 and its dimension is fixed by the terms alone.  A ``Monomial`` checks that
 dimension once, when the row is built at import, against ``REQUIRED_DIMS`` and
 ``INPUT_DIMS``; a call adds plain floats, and a public wrapper builds one
-``Quantity`` from the sum.  Defaults and derived inputs (H = 1/t, 1/(Gt²), R²,
-gravity's 2, the 7e5-year transition, the horizon's entropy, the energy of an
-ops/sec rate) are rows too.  ``environment`` checks a wrapper's inputs by
-parameter name against ``INPUT_DIMS`` and files each under the symbol
-``PARAMETER_SYMBOLS`` names; ``record_environment`` files a record's checked
-fields, and ``given`` builds an input read as a number.  Tests over the source
-check that no other module names an input's dimension, writes its symbol (the
-radiation tail aside) or calls a row's ``log10``, and that outside ``dimq``
-only ``cosmo._years`` and the residuals call ``dimq._new``.
+``Quantity`` from the sum.  Defaults and derived inputs (H = 1/t, R², gravity's
+2, the 7e5-year transition, the horizon's entropy, the energy of an ops/sec
+rate) are rows too.  ``environment`` checks inputs by parameter name against
+``INPUT_DIMS`` and files each under the symbol ``PARAMETER_SYMBOLS`` names (a
+record keeps the table its check filed); ``file_default`` files an omitted
+input's default row under that input's symbol, ``filed`` reads an input back,
+and ``given`` builds one read as a number.  Tests over the source check that no
+other module names an input's dimension, writes its symbol (the radiation tail
+aside) or calls a row's ``log10``, and that outside ``dimq`` only
+``cosmo._years`` and the residuals call ``dimq._new``.
 
 A row reads every term from its environment, a nested row under the row
 itself: a row of constants alone (the Planck scales, ħc/e², α and the like)
@@ -70,7 +71,7 @@ INPUT_DIMS: dict[str, Dimension] = {
 
 _SYMBOL_DIMS = {**REQUIRED_DIMS, **INPUT_DIMS}
 
-# the symbol each public parameter name fills, in environment and record_environment
+# the symbol each public parameter name fills, in environment and file_default
 PARAMETER_SYMBOLS: dict[str, str] = {
     "rho": "rho", "age": "t", "t": "t", "t1": "t", "t0": "t0", "hubble": "H", "energy": "E",
     "e1": "E", "entropy": "S", "radius": "R", "area": "A", "temperature": "T", "volume": "V",
@@ -158,7 +159,6 @@ def environment(
     ``allow_zero``; a refusal names the parameter.  A ``species`` table fills
     ``weight`` after them, so a bad input is named before an empty table.
     """
-    # record_environment's fill lines, written again: calling it would cost every public call
     env = {} if profile is None else dict(profile._log10s)
     for name, q in inputs.items():
         symbol = PARAMETER_SYMBOLS[name]
@@ -169,14 +169,15 @@ def environment(
     return env
 
 
-def record_environment(profile, *, species=None, **fields: Quantity) -> dict[object, float]:
-    """``environment`` unchecked, for a record's fields, which were checked when it was built."""
-    env = {} if profile is None else dict(profile._log10s)
-    for name, q in fields.items():
-        env[PARAMETER_SYMBOLS[name]] = q.log10
-    if species is not None:
-        env["weight"] = species.log10_weight()
-    return env
+def file_default(env: dict[object, float], name: str) -> None:
+    """File omitted input ``name``'s ``DEFAULTS`` row, of the inputs in env, under its symbol."""
+    env[PARAMETER_SYMBOLS[name]] = DEFAULTS[name].log10(env)
+
+
+def filed(env: Mapping[object, float], name: str) -> Quantity:
+    """Input ``name`` as ``env`` files it, a value > 0 on its symbol's ``INPUT_DIMS`` dimension."""
+    symbol = PARAMETER_SYMBOLS[name]
+    return _new(Quantity, 1, env[symbol], INPUT_DIMS[symbol])
 
 
 def given(name: str, value: float) -> Quantity:
@@ -202,7 +203,6 @@ DEFAULT_HUBBLE = Monomial(RATE, ("t", -1))  # H = 1/t when a scenario gives none
 MATTER_RADIATION_TRANSITION = Monomial(TIME, "year_seconds", prefactor=7.0e5)
 CRITICAL_DENSITY = Monomial(MASS_DENSITY, ("H", 2), ("G", -1), prefactor=3.0 / (8.0 * math.pi))
 CRITICAL_DENSITY_APPROX = Monomial(MASS_DENSITY, ("H", 2), ("G", -1))
-DEFAULT_DENSITY = Monomial(MASS_DENSITY, (DEFAULT_HUBBLE, 2), ("G", -1))  # 1/(Gt²)
 D_FACTOR = Monomial(DIMENSIONLESS, "weight", prefactor=math.pi**2 / 30.0)
 _BATH = Monomial(ENERGY**4, ("hbar", 3), ("c", 5), "rho", (D_FACTOR, -1))
 BLACKBODY_TEMPERATURE = Monomial(TEMPERATURE, (_BATH, _QUARTER), ("k_B", -1))
@@ -251,8 +251,8 @@ MAX_IO_RATE = Monomial(RATE, "c", "S", (Monomial(ENTROPY * LENGTH, "k_B", "R"), 
 _HBAR_C_S = Monomial(ENERGY * LENGTH * ENTROPY, "hbar", "c", "S")
 BEKENSTEIN_RATIO = Monomial(DIMENSIONLESS, "k_B", "E", "R", (_HBAR_C_S, -1))
 HOLOGRAPHIC_BITS = Monomial(DIMENSIONLESS, "A", (PLANCK_LENGTH, -2))
-DEFAULT_AREA = Monomial(AREA, ("R", 2))  # a bare R², no 4π
-DEFAULT_HOLOGRAPHIC_BITS = Monomial(DIMENSIONLESS, DEFAULT_AREA, (PLANCK_LENGTH, -2))
+DEFAULT_AREA = Monomial(AREA, ("R", 2))  # a bare R², no 4π, when a system gives no area
+DEFAULTS = {"hubble": DEFAULT_HUBBLE, "area": DEFAULT_AREA}  # by the parameter each fills
 
 # -- baseline ---------------------------------------------------------
 FLEET_OPS = Monomial(DIMENSIONLESS, "n_computers", "clock_rate", "ops_per_cycle", "duration")

@@ -10,6 +10,7 @@ import cProfile
 import io
 import json
 import pstats
+import sys
 from fractions import Fraction
 
 import pytest
@@ -165,11 +166,11 @@ def _row_evaluations(run) -> int:
     return _calls(_profiled(run), formulas.Monomial.log10.__code__)
 
 
-# system_limits evaluates one plan of its rows: without an area, the rate,
-# flip time, bits, k_B·R, I/O rate, ħcS, Bekenstein ratio, R² and holographic
-# bits; with one, all but R².  Each is evaluated once (10 and 9 calls when the
-# flip time evaluated the rate again).
-@pytest.mark.parametrize("area, evaluations", [(None, 9), (make(0.02, AREA), 8)],
+# system_limits evaluates one plan of its rows: the rate, flip time, bits, k_B·R,
+# I/O rate, ħcS, Bekenstein ratio and holographic bits, on the area given or on
+# the R² the spec's check filed.  Each is evaluated once (9 calls when the flip
+# time evaluated the rate again).
+@pytest.mark.parametrize("area, evaluations", [(None, 8), (make(0.02, AREA), 8)],
                          ids=["no-area", "area"])
 def test_system_limits_evaluates_each_row_once(area, evaluations):
     spec = SystemSpec(make(1.0, ENERGY), make(1e-20, ENTROPY), make(0.1, LENGTH), area)
@@ -217,11 +218,13 @@ def test_default_area_builds_no_dimension():
 
 
 def test_system_limits_without_an_area_builds_one_environment():
-    # the default area R² is a row nested in the holographic one, evaluated
-    # on the limits' own environment
-    spec = SystemSpec(make(1.0, ENERGY), make(1e-20, ENTROPY), make(0.1, LENGTH))
-    profiler = _profiled(lambda: system_limits(spec))
-    assert _calls(profiler, formulas.record_environment.__code__) == 1
+    # the spec's check builds the one environment, the default area R² filed in it,
+    # and the limits start from that table and the profile's
+    inputs = make(1.0, ENERGY), make(1e-20, ENTROPY), make(0.1, LENGTH)
+    environments = formulas.environment.__code__
+    assert _calls(_profiled(lambda: system_limits(SystemSpec(*inputs))), environments) == 1
+    spec = SystemSpec(*inputs)
+    assert _calls(_profiled(lambda: system_limits(spec)), environments) == 0
 
 
 def test_full_report_builds_no_dimension():
@@ -262,6 +265,59 @@ def test_algebra_add_of_one_dimension_compares_no_dimension():
     x = Quantity(1, 12.5, Dimension(**_EXPS))
     y = Quantity(1, x.log10 - 1.0, x.dimension)
     assert _calls(_profiled(lambda: dimq.add(x, y)), Dimension.__eq__.__code__) == 0
+
+
+# Python instructions, as a trace function counts them opcode by opcode: exact
+# for one CPython minor version, so each bound is the count when it was set
+# plus 2%, on CPython 3.10.13, 3.11.7 and 3.12.1.  The runs: the sweep
+# operation, a paper full_report of a prebuilt scenario, and an in-process
+# `report --default-paper` after a first run has built the CLI's parser.
+MAX_INSTRUCTIONS = {
+    (3, 10): {"sweep": 4772, "full_report": 2030, "report": 10143},  # 4679, 1991, 9945
+    (3, 11): {"sweep": 5121, "full_report": 2179, "report": 10644},  # 5021, 2137, 10436
+    (3, 12): {"sweep": 4688, "full_report": 2013, "report": 9798},  # 4597, 1974, 9606
+}
+
+
+def _instructions(run) -> int:
+    """The Python instructions ``run()`` executes; any trace function set before is restored."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            count += 1
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def _instruction_runs() -> dict:
+    scenario = paper_scenario()
+    return {"sweep": _sweep_operation, "full_report": lambda: full_report(scenario),
+            "report": lambda: cli.main(["report", "--default-paper"])}
+
+
+@pytest.mark.parametrize("name", ["sweep", "full_report", "report"])
+def test_the_core_path_runs_few_python_instructions(name):
+    version = sys.version_info[:2]
+    if version not in MAX_INSTRUCTIONS:
+        pytest.skip(f"no instruction bound is set for Python {version[0]}.{version[1]}, "
+                    f"only for {', '.join('%d.%d' % v for v in MAX_INSTRUCTIONS)}")
+    run, before = _instruction_runs()[name], sys.gettrace()
+    with contextlib.redirect_stdout(io.StringIO()):
+        run()  # the first report builds the parser, cached for every later one
+        _instructions(lambda: None)  # the first count in a process can read 0 (3.12.1)
+        count = _instructions(run)
+    assert sys.gettrace() is before
+    assert 0 < count <= MAX_INSTRUCTIONS[version][name]
 
 
 def test_quantity_decode_reads_each_pair_once():

@@ -405,6 +405,14 @@ def test_malformed_values_exit_two(run_cli, tmp_path, argv, content):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_a_scenario_files_growth_band_is_refused_by_its_key(run_cli, tmp_path):
+    # the band's own check words the refusal, as for --growth; the file's key leads it
+    path = tmp_path / "input.json"
+    path.write_bytes(_MALFORMED["growth-negative-halfwidth"][1])
+    assert run_cli(["report", str(path)]) == (
+        2, "", "error: inflation_growth_log10: halfwidth must be finite and >= 0, got -1.0\n")
+
+
 # json refuses an int literal past the digit limit before any key reads it
 _HUGE_INT_ERRORS = {
     "scenario-oversized-int": "malformed JSON in {path}: Exceeds the limit (4300 digits)",

@@ -47,7 +47,6 @@ EXPECTED_DIMS = {
     "MATTER_RADIATION_TRANSITION": Dimension(0, 0, 1),
     "CRITICAL_DENSITY": Dimension(-3, 1),
     "CRITICAL_DENSITY_APPROX": Dimension(-3, 1),
-    "DEFAULT_DENSITY": Dimension(-3, 1),
     "D_FACTOR": Dimension(),
     "BLACKBODY_TEMPERATURE": Dimension(0, 0, 0, 1),
     "ENTROPY_DENSITY": Dimension(-1, 1, -2, -1),
@@ -73,7 +72,6 @@ EXPECTED_DIMS = {
     "BEKENSTEIN_RATIO": Dimension(),
     "HOLOGRAPHIC_BITS": Dimension(),
     "DEFAULT_AREA": Dimension(2),
-    "DEFAULT_HOLOGRAPHIC_BITS": Dimension(),
     "FLEET_OPS": Dimension(),
     "FLEET_BITS": Dimension(),
     "HISTORICAL_OPS": Dimension(),
@@ -211,20 +209,21 @@ def _symbols_written(path):
 
 
 def test_only_formulas_maps_an_input_to_the_symbol_its_rows_read():
-    written, unchecked = [], set()
+    written, readers = [], set()
     for path in SOURCES:
+        assert "record_environment" not in set(_names_in(path))  # no table is filed twice
         if path.name in ("dimq.py", "formulas.py"):
             continue
         written += _symbols_written(path)
-        unchecked |= {scope for scope, node in _scoped_nodes(path) if isinstance(node, ast.Call)
-                      and _read_name(node.func) == "record_environment"}
+        readers |= {scope for scope, node in _scoped_nodes(path) if isinstance(node, ast.Attribute)
+                    and node.attr == "_log10s" and _read_name(node.value) != "profile"}
     # the radiation window's one input that is not a monomial; every other
-    # symbol is filled by environment or record_environment from a
-    # parameter name, and a derived one (an entropy, a default area) is a row
+    # symbol is filled by environment from a parameter name, or by
+    # file_default from a default row, and a derived one (an entropy) is a row
     assert written == [("cosmo.ops_radiation", "tail")]
-    # the callers that read a record's fields, checked when the record was built
-    assert unchecked == {"cosmo.full_report", "bounds.system_limits",
-                         "bounds.SystemSpec.effective_area", "baseline._fleet_row"}
+    # the callers that read a record's inputs from the table its check filed
+    assert readers == {"cosmo.full_report", "bounds.system_limits",
+                       "bounds.SystemSpec.effective_area", "baseline._fleet_row"}
 
 
 def _nested(row):
@@ -304,7 +303,6 @@ ORACLE = {
     "MATTER_RADIATION_TRANSITION": (lambda v: mp.mpf("7e5") * v.year_seconds, NEAR),
     "CRITICAL_DENSITY": (lambda v: 3 * v.H**2 / (8 * mp.pi * v.G), FAR),
     "CRITICAL_DENSITY_APPROX": (lambda v: v.H**2 / v.G, FAR),
-    "DEFAULT_DENSITY": (lambda v: 1 / (v.G * v.t**2), FAR),
     "D_FACTOR": (lambda v: mp.pi**2 / 30 * v.weight, NEAR),
     "BLACKBODY_TEMPERATURE": (
         lambda v: (30 * v.hbar**3 * v.c**5 * v.rho / (mp.pi**2 * v.weight)) ** 0.25 / v.k_B, FAR
@@ -346,7 +344,6 @@ ORACLE = {
     "BEKENSTEIN_RATIO": (lambda v: v.k_B * v.E * v.R / (v.hbar * v.c * v.S), FAR),
     "HOLOGRAPHIC_BITS": (lambda v: v.A * v.c**3 / (v.hbar * v.G), FAR),
     "DEFAULT_AREA": (lambda v: v.R**2, FAR),
-    "DEFAULT_HOLOGRAPHIC_BITS": (lambda v: v.R**2 * v.c**3 / (v.hbar * v.G), FAR),
     "FLEET_OPS": (lambda v: v.n_computers * v.clock_rate * v.ops_per_cycle * v.duration, NEAR),
     "FLEET_BITS": (lambda v: v.n_computers * v.bits_per_computer, NEAR),
     "HISTORICAL_OPS": (

@@ -8,6 +8,7 @@ class is created, and that
 importing the CLI loads none of the modules the base replaced.
 """
 
+import ast
 import copy
 import math
 import os
@@ -184,8 +185,41 @@ def test_defaults_apply():
 
 
 def test_a_scenario_keeps_its_fields_alone():
-    # the transition is a row of the profile, read by a property, not a derived slot
-    assert Scenario._fields == Scenario.__slots__
+    # the fields are the public slots; the table of checked inputs is a derived
+    # slot, and the transition, a row of the profile read by a property, no slot
+    assert Scenario._fields == tuple(n for n in Scenario.__slots__ if not n.startswith("_"))
+    assert set(Scenario.__slots__) - set(Scenario._fields) == {"_log10s"}
+    assert "matter_radiation_transition" not in Scenario.__slots__
+
+
+def test_no_record_class_declares_its_fields():
+    # a slot named _x is derived, so each record's fields are its other slots
+    declaring = {
+        node.name
+        for path in sorted((SRC / "cosmocap").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(target, ast.Name) and target.id == "_fields"
+            for stmt in node.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+            for target in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]))
+    }
+    assert declaring == {"Record"}  # the base's empty default
+    for cls in (SpeciesTable, ConstantsProfile, Scenario, SystemSpec, FleetSpec):
+        assert cls._fields == tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        assert len(cls._fields) < len(cls.__slots__)
+
+
+@pytest.mark.parametrize("record", [
+    paper_scenario(),
+    Scenario(make(1e-27, dimq.MASS_DENSITY), make(3e17, dimq.TIME), make(1e-18, dimq.RATE)),
+    SystemSpec(make(1.0, ENERGY), make(1e-20, ENTROPY), make(0.1, LENGTH)),
+    SystemSpec(make(1.0, ENERGY), make(1e-20, ENTROPY), make(0.1, LENGTH), make(0.02, dimq.AREA)),
+    default_fleet(),
+], ids=["scenario", "scenario-hubble", "spec", "spec-area", "fleet"])
+def test_a_pickled_or_copied_record_files_the_same_inputs(record):
+    for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert clone is not record and clone._log10s == record._log10s
+        assert clone._log10s is not record._log10s
 
 
 def test_a_growth_band_stores_negative_zero_as_zero_and_keeps_every_other_value():
