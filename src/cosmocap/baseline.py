@@ -9,7 +9,7 @@ short of what the universe's matter could do.
 from __future__ import annotations
 
 from . import formulas as f
-from .dimq import Quantity, Record, zero
+from .dimq import Quantity, Record
 
 __all__ = ["FleetSpec", "default_fleet", "fleet_bits", "fleet_ops", "historical_ops"]
 
@@ -53,8 +53,7 @@ def fleet_bits(fleet: FleetSpec) -> Quantity:
 
 
 def _fleet_row(row: f.Monomial, fleet: FleetSpec) -> Quantity:
-    if fleet.n_computers.sign == 0:  # an empty fleet computes and holds nothing
-        return zero(row.dimension)
+    # an empty fleet's count is filed as log10 -inf, so it computes and holds exactly 0
     return row.quantity(dict(fleet._log10s))  # a copy: a plan evaluates its rows into it
 
 

@@ -25,7 +25,7 @@ import math
 
 from . import formulas as f
 from .constants import PAPER, ConstantsProfile
-from .dimq import Quantity, Record, zero
+from .dimq import Quantity, Record
 
 __all__ = [
     "BekensteinResult",
@@ -57,10 +57,7 @@ def min_flip_time(energy: Quantity, profile: ConstantsProfile = PAPER) -> Quanti
 
 def max_bits(entropy: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
     """S/(k_B ln 2).  Zero entropy is a legal, zero-bit register."""
-    env = f.environment(profile, allow_zero=("entropy",), entropy=entropy)
-    if entropy.sign == 0:
-        return zero(f.MAX_BITS.dimension)
-    return f.MAX_BITS.quantity(env)
+    return f.MAX_BITS.quantity(f.environment(profile, allow_zero=("entropy",), entropy=entropy))
 
 
 def max_io_rate(
@@ -73,8 +70,6 @@ def max_io_rate(
     divide by ln 2 themselves.
     """
     env = f.environment(profile, allow_zero=("entropy",), entropy=entropy, radius=radius)
-    if entropy.sign == 0:
-        return zero(f.MAX_IO_RATE.dimension)
     return f.MAX_IO_RATE.quantity(env)
 
 

@@ -481,6 +481,13 @@ class _QuantityFlag(_FloatFlag):
 
 
 _PROFILE = ("--profile", dict(help="constants profile: paper, codata, or a JSON file"))
+# epoch radiation's usage as argparse wraps it before 3.13, whose wrapping splits the
+# required group; each later line starts under the text after the usage's prog
+_RADIATION_USAGE = """%(prog)s [-h]
+                                (--E1-joules E1_JOULES | --E1-ratio E1_RATIO)
+                                --t1 T1 --t0 T0
+                                [--temperature-k TEMPERATURE_K]
+                                [--profile PROFILE] [--json]"""
 
 # Every subparser, each parent before its subcommands: its argv path, add_parser's
 # keywords, its handler (None: it holds subcommands) and its flags, each (name,
@@ -502,7 +509,7 @@ _COMMANDS = (
         ("--age-years", dict(action=_QuantityFlag, default=cosmo.PAPER_AGE_YEARS)),
         _PROFILE,
     )),
-    (("epoch", "radiation"), {}, cmd_epoch_radiation, (
+    (("epoch", "radiation"), dict(usage=_RADIATION_USAGE), cmd_epoch_radiation, (
         [("--E1-joules", dict(dest="e1_joules", action=_QuantityFlag)),
          ("--E1-ratio", dict(dest="e1_ratio", action=_QuantityFlag,
                              help="E1 given as its op rate: 2 E1/(pi hbar) in ops/sec"))],

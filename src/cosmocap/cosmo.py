@@ -33,15 +33,7 @@ from fractions import Fraction
 
 from . import formulas as f
 from .constants import PAPER, ConstantsProfile, get
-from .dimq import (
-    InputError,
-    LogInterval,
-    Quantity,
-    Record,
-    _new,
-    make,
-    zero,
-)
+from .dimq import InputError, LogInterval, Quantity, Record, _new, make
 from .formulas import GUT_THRESHOLD_GEV
 from .largenum import _IDENTITIES, _identities
 
@@ -202,9 +194,7 @@ def ops_critical(age: Quantity, profile: ConstantsProfile = PAPER) -> Quantity:
 def apply_gravity(ops: Quantity, include: bool) -> Quantity:
     """Free gravitational degrees of freedom contribute a factor 2, no more."""
     env = f.environment(None, allow_zero=("ops",), ops=ops)
-    if not include or ops.sign == 0:
-        return ops
-    return f.OPS_WITH_GRAVITY.quantity(env)
+    return f.OPS_WITH_GRAVITY.quantity(env) if include else ops
 
 
 def d_factor(species: SpeciesTable) -> Quantity:
@@ -287,13 +277,11 @@ def ops_radiation(
     if t0.sign > 0 and t0.log10 > t1.log10:
         raise ValueError("t0 must not exceed t1")
     # 1 − √(t0/t1) from the log gap: expm1 keeps the digits that the
-    # subtraction loses as t0 -> t1; the tail is exactly 0 at t0 = t1 and
-    # exactly 1 at t0 = 0, where the gap is -inf
+    # subtraction loses as t0 -> t1; the tail is exactly 1 at t0 = 0, where the
+    # gap is -inf, and exactly 0 at t0 = t1, filed as log10 -inf: an exact zero
     gap = -math.inf if t0.sign == 0 else t0.log10 - t1.log10
     tail = -math.expm1(0.5 * _LN10 * gap)
-    if tail == 0:
-        return zero(f.OPS_RADIATION.dimension)
-    env["tail"] = math.log10(tail)
+    env["tail"] = math.log10(tail) if tail else -math.inf
     return f.OPS_RADIATION.quantity(env)
 
 

@@ -13,9 +13,11 @@ dimension once, when the row is built at import, against ``REQUIRED_DIMS`` and
 2, the 7e5-year transition, the horizon's entropy, the energy of an ops/sec
 rate) are rows too.  ``environment`` checks inputs by parameter name against
 ``INPUT_DIMS`` and files each under the symbol ``PARAMETER_SYMBOLS`` names (a
-record keeps the table its check filed); ``file_default`` files an omitted
-input's default row under that input's symbol, ``filed`` reads an input back,
-and ``given`` builds one read as a number.  Tests over the source check that no
+record keeps the table its check filed), an allowed zero as log10 -inf, which
+``quantity`` reads back as exact zero and ``read`` never meets (scenarios,
+systems and profiles refuse a zero; a fleet's rows go through ``quantity``);
+``file_default`` files an omitted input's default row under that input's
+symbol, ``filed`` reads an input back, and ``given`` builds one read as a number.  Tests over the source check that no
 other module names an input's dimension, writes its symbol (the radiation tail
 aside) or calls a row's ``log10``, and that outside ``dimq`` only
 ``cosmo._years`` and the residuals call ``dimq._new``.
@@ -70,6 +72,7 @@ INPUT_DIMS: dict[str, Dimension] = {
 }
 
 _SYMBOL_DIMS = {**REQUIRED_DIMS, **INPUT_DIMS}
+_ZERO_LOG10 = -math.inf  # the log10 an allowed zero input is filed as
 
 # the symbol each public parameter name fills, in environment and file_default
 PARAMETER_SYMBOLS: dict[str, str] = {
@@ -116,11 +119,12 @@ class Monomial:
         return total
 
     def quantity(self, env: dict[object, float]) -> Quantity:
-        """The row's positive value as a Quantity, its plan evaluated into ``env`` first."""
-        return _new(Quantity, 1, self.log10(evaluate(self.plan, env)), self.dimension)
+        """The row's value, its plan evaluated into ``env`` first; a sum of -inf is exact 0."""
+        total = self.log10(evaluate(self.plan, env))
+        return _new(Quantity, 0 if total == _ZERO_LOG10 else 1, total, self.dimension)
 
     def read(self, env: Mapping[object, float]) -> Quantity:
-        """The row's value in ``env``, where a plan or ``profile_table`` put it, as a Quantity."""
+        """The row's value > 0 in ``env``, where a plan or ``profile_table`` put it."""
         return _new(Quantity, 1, env[self], self.dimension)
 
 
@@ -155,15 +159,15 @@ def environment(
     """The profile's log10 table (none for ``profile`` None), plus each input's log10 by symbol.
 
     ``inputs`` are quantities by parameter name, each checked in order for its
-    symbol's ``INPUT_DIMS`` dimension and a value > 0, or >= 0 for a name in
-    ``allow_zero``; a refusal names the parameter.  A ``species`` table fills
-    ``weight`` after them, so a bad input is named before an empty table.
+    symbol's ``INPUT_DIMS`` dimension and a value > 0, or >= 0 (a zero filed as
+    -inf) for a name in ``allow_zero``; a refusal names the parameter.  A ``species``
+    table fills ``weight`` after them, so a bad input is named before an empty table.
     """
     env = {} if profile is None else dict(profile._log10s)
     for name, q in inputs.items():
         symbol = PARAMETER_SYMBOLS[name]
         require(q, INPUT_DIMS[symbol], name, allow_zero=name in allow_zero)
-        env[symbol] = q.log10
+        env[symbol] = q.log10 if q.sign else _ZERO_LOG10
     if species is not None:
         env["weight"] = species.log10_weight()
     return env

@@ -269,13 +269,14 @@ def test_algebra_add_of_one_dimension_compares_no_dimension():
 
 # Python instructions, as a trace function counts them opcode by opcode: exact
 # for one CPython minor version, so each bound is the count when it was set
-# plus 2%, on CPython 3.10.13, 3.11.7 and 3.12.1.  The runs: the sweep
+# plus 2%, on CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0.  The runs: the sweep
 # operation, a paper full_report of a prebuilt scenario, and an in-process
 # `report --default-paper` after a first run has built the CLI's parser.
 MAX_INSTRUCTIONS = {
     (3, 10): {"sweep": 4772, "full_report": 2030, "report": 10143},  # 4679, 1991, 9945
     (3, 11): {"sweep": 5121, "full_report": 2179, "report": 10644},  # 5021, 2137, 10436
     (3, 12): {"sweep": 4688, "full_report": 2013, "report": 9798},  # 4597, 1974, 9606
+    (3, 13): {"sweep": 4414, "full_report": 1839, "report": 9584},  # 4328, 1803, 9397
 }
 
 

@@ -146,6 +146,13 @@ def test_only_dimq_and_formulas_name_a_dimension_and_only_constants_requires():
     assert requiring == {"constants.py"}
 
 
+def test_only_dimq_names_zero():
+    # an exact zero is one value of the table: formulas files an allowed zero input
+    # as log10 -inf and builds the zero a row of it gives, so no other module builds one
+    assert [path.name for path in SOURCES if path.name != "dimq.py"
+            and "zero" in set(_names_in(path))] == []
+
+
 def _scoped_nodes(path):
     """Each node of ``path`` with its scope, 'module.function' or 'module.Class.method'."""
 

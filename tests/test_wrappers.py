@@ -15,7 +15,7 @@ from cosmocap import bounds, cosmo, largenum
 from cosmocap.cosmo import PHOTONS_ONLY
 from cosmocap.dimq import (
     AREA, CHARGE2, DIMENSIONLESS, ENERGY, ENTROPY, LENGTH, MASS_DENSITY, RATE, TEMPERATURE,
-    TIME, VOLUME, DimensionError, make,
+    TIME, VOLUME, DimensionError, approx_eq, make, zero,
 )
 
 # a valid value of each Quantity parameter, by name
@@ -45,6 +45,14 @@ CHECK_ORDER = {
 # the inputs that may be zero
 ALLOWS_ZERO = {("apply_gravity", "ops"), ("max_bits", "entropy"), ("max_io_rate", "entropy"),
                ("ops_radiation", "t0")}
+# what each gives at that zero: exact zero on its output's dimension, but for ops_radiation,
+# whose window from t0 = 0 is twice the fixed-energy count (2 E1/(pi hbar)) t1
+AT_ZERO = {
+    "apply_gravity": zero(DIMENSIONLESS),  # with include=True, as OTHER gives it
+    "max_bits": zero(DIMENSIONLESS),
+    "max_io_rate": zero(RATE),
+    "ops_radiation": bounds.max_ops_per_sec(GOOD["e1"]) * GOOD["t1"] * make(2.0),
+}
 
 WRONG = make(2.0, CHARGE2)  # no input has this dimension
 
@@ -101,7 +109,8 @@ def test_a_wrong_dimension_is_named(name, param):
 @pytest.mark.parametrize(("name", "param"), CASES)
 def test_a_nonpositive_input_is_named(name, param):
     if (name, param) in ALLOWS_ZERO:
-        _call(name, **{param: GOOD[param] * make(0.0)})  # zero is legal
+        result = _call(name, **{param: GOOD[param] * make(0.0)})  # zero is legal
+        assert approx_eq(result, AT_ZERO[name], tol_decades=1e-12)
         values, message = (-1.0,), f"{param} must be >= 0"
     else:
         values, message = (0.0, -1.0), f"{param} must be > 0"
