@@ -112,15 +112,12 @@ class SystemSpec(Record):
     _defaults = {"area": None}
 
     def _check(self) -> None:
-        area = {} if self.area is None else {"area": self.area}
         env = f.environment(None, energy=self.energy, entropy=self.entropy, radius=self.radius,
-                            **area)
-        if self.area is None:  # area stays None; R² is filed as the area
-            f.file_default(env, "area")
+                            area=self.area)  # area stays None; environment files R² then
         object.__setattr__(self, "_log10s", env)
 
     def effective_area(self) -> Quantity:
-        """The area, or R² (the ``DEFAULT_AREA`` row) of the checked radius, as filed."""
+        """The area, or R² of the checked radius, as the check filed it for an omitted area."""
         if self.area is not None:
             return self.area
         return f.filed(self._log10s, "area")

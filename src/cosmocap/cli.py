@@ -47,7 +47,7 @@ from .dimq import (
     read_fields,
     read_json_object,
 )
-from .formulas import DEFAULT_HUBBLE, ENERGY_FOR_OPS_RATE, environment, given
+from .formulas import ENERGY_FOR_OPS_RATE, environment, filed, given
 from .largenum import identities
 
 __all__ = ["main"]
@@ -407,9 +407,9 @@ def cmd_epoch_inflation(args: argparse.Namespace) -> Table:
 def cmd_large_numbers(args: argparse.Namespace) -> Table:
     profile = _profile_from_flag(args)
     age = cosmo._years(make(args.age_years), profile)
-    env = environment(None, age=age)  # before the default density divides by it
+    env = environment(None, age=age, hubble=None)  # the age checked before H = 1/t reads it
     # default: critical density 1/(Gt²), H²/G at H = 1/t, where all three residuals sit at 1
-    rho = (cosmo.critical_density(DEFAULT_HUBBLE.quantity(env), "approx", profile)
+    rho = (cosmo.critical_density(filed(env, "hubble"), "approx", profile)
            if args.rho is None else given("rho", args.rho))
     report = identities(rho, age, profile)
     rows = [_text("rho: {}, age: {}", rho, age)]

@@ -347,10 +347,8 @@ class Scenario(Record):
                  "profile": PAPER, "inflation_growth": None}
 
     def _check(self) -> None:
-        hubble = {} if self.hubble is None else {"hubble": self.hubble}
-        env = f.environment(None, rho=self.rho, age=self.age, **hubble)
-        if self.hubble is None:  # 1/t of the checked age: a rate > 0 by construction
-            f.file_default(env, "hubble")
+        env = f.environment(None, rho=self.rho, age=self.age, hubble=self.hubble)
+        if self.hubble is None:  # 1/t of the checked age, filed: a rate > 0 by construction
             object.__setattr__(self, "hubble", f.filed(env, "hubble"))
         object.__setattr__(self, "_log10s", env)
         if not isinstance(self.species, SpeciesTable):

@@ -15,12 +15,13 @@ rate) are rows too.  ``environment`` checks inputs by parameter name against
 ``INPUT_DIMS`` and files each under the symbol ``PARAMETER_SYMBOLS`` names (a
 record keeps the table its check filed), an allowed zero as log10 -inf, which
 ``quantity`` reads back as exact zero and ``read`` never meets (scenarios,
-systems and profiles refuse a zero; a fleet's rows go through ``quantity``);
-``file_default`` files an omitted input's default row under that input's
-symbol, ``filed`` reads an input back, and ``given`` builds one read as a number.  Tests over the source check that no
-other module names an input's dimension, writes its symbol (the radiation tail
-aside) or calls a row's ``log10``, and that outside ``dimq`` only
-``cosmo._years`` and the residuals call ``dimq._new``.
+systems and profiles refuse a zero; a fleet's rows go through ``quantity``),
+and an omitted input, passed as None, as its ``DEFAULTS`` row of the inputs
+filed before it, so it must follow the inputs its row reads.  ``filed`` reads
+an input back, and ``given`` builds one read as a number.  Tests over the
+source check that no other module names an input's dimension or a default
+row, writes a symbol (the radiation tail aside) or calls a row's ``log10``, and
+that outside ``dimq`` only ``cosmo._years`` and the residuals call ``dimq._new``.
 
 A row reads every term from its environment, a nested row under the row
 itself: a row of constants alone (the Planck scales, ħc/e², α and the like)
@@ -74,7 +75,7 @@ INPUT_DIMS: dict[str, Dimension] = {
 _SYMBOL_DIMS = {**REQUIRED_DIMS, **INPUT_DIMS}
 _ZERO_LOG10 = -math.inf  # the log10 an allowed zero input is filed as
 
-# the symbol each public parameter name fills, in environment and file_default
+# the symbol each public parameter name fills in environment
 PARAMETER_SYMBOLS: dict[str, str] = {
     "rho": "rho", "age": "t", "t": "t", "t1": "t", "t0": "t0", "hubble": "H", "energy": "E",
     "e1": "E", "entropy": "S", "radius": "R", "area": "A", "temperature": "T", "volume": "V",
@@ -160,22 +161,22 @@ def environment(
 
     ``inputs`` are quantities by parameter name, each checked in order for its
     symbol's ``INPUT_DIMS`` dimension and a value > 0, or >= 0 (a zero filed as
-    -inf) for a name in ``allow_zero``; a refusal names the parameter.  A ``species``
-    table fills ``weight`` after them, so a bad input is named before an empty table.
+    -inf) for a name in ``allow_zero``; a refusal names the parameter.  An input
+    given as None is filed as its ``DEFAULTS`` row, evaluated over the inputs filed
+    before it, so it must follow the inputs its row reads.  A ``species`` table
+    fills ``weight`` after them, so a bad input is named before an empty table.
     """
     env = {} if profile is None else dict(profile._log10s)
     for name, q in inputs.items():
         symbol = PARAMETER_SYMBOLS[name]
+        if q is None:  # omitted: its default row, of the inputs filed before it
+            env[symbol] = DEFAULTS[name].log10(env)
+            continue
         require(q, INPUT_DIMS[symbol], name, allow_zero=name in allow_zero)
         env[symbol] = q.log10 if q.sign else _ZERO_LOG10
     if species is not None:
         env["weight"] = species.log10_weight()
     return env
-
-
-def file_default(env: dict[object, float], name: str) -> None:
-    """File omitted input ``name``'s ``DEFAULTS`` row, of the inputs in env, under its symbol."""
-    env[PARAMETER_SYMBOLS[name]] = DEFAULTS[name].log10(env)
 
 
 def filed(env: Mapping[object, float], name: str) -> Quantity:

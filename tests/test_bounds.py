@@ -237,6 +237,9 @@ def test_system_spec_validation():
             entropy=make(1e-20, ENTROPY),
             radius=make(0.1, LENGTH),
         )
+    # a bad radius ahead of the omitted area is named before R² would read it
+    with pytest.raises(ValueError, match="^radius must be > 0$"):
+        SystemSpec(make(1.0, ENERGY), make(1e-20, ENTROPY), zero(LENGTH))
 
 
 def test_system_spec_checks_an_explicit_area():

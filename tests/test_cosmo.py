@@ -553,6 +553,9 @@ def test_scenario_validation():
         Scenario(rho=make(-1.0, MASS_DENSITY), age=age_today())
     with pytest.raises(ValueError):
         Scenario(rho=RHO, age=zero(TIME))
+    # a bad age ahead of the omitted H is named before 1/t would read it
+    with pytest.raises(ValueError, match="^age must be > 0$"):
+        Scenario(RHO, make(-1.0, TIME))
     with pytest.raises(TypeError):
         Scenario(rho=RHO, age=age_today(), species="photons")
 

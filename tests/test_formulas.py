@@ -23,9 +23,9 @@ from types import SimpleNamespace
 import mpmath
 import pytest
 
-from cosmocap import CODATA, PAPER, formulas as f, load_profile
+from cosmocap import CODATA, PAPER, Scenario, SystemSpec, formulas as f, load_profile
 from cosmocap.dimq import (
-    DIMENSIONLESS, ENERGY, RATE, TIME, Dimension, DimensionError, InputError, make,
+    DIMENSIONLESS, ENERGY, LENGTH, RATE, TIME, Dimension, DimensionError, InputError, make,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -100,6 +100,9 @@ def test_a_reciprocal_row_never_yields_negative_zero():
 def test_each_parameter_name_fills_an_input_symbol():
     assert set(f.PARAMETER_SYMBOLS.values()) <= set(f.INPUT_DIMS)
     assert f.environment(None, t1=make(1e3, TIME), e1=make(1e2, ENERGY)) == {"t": 3.0, "E": 2.0}
+    # an omitted input is filed as its default row: H = 1/t, and R² as the area
+    assert f.environment(None, age=make(1e3, TIME), hubble=None) == {"t": 3.0, "H": -3.0}
+    assert f.environment(None, radius=make(10.0, LENGTH), area=None) == {"R": 1.0, "A": 2.0}
     env = f.environment(PAPER)
     assert env == PAPER._log10s and env is not PAPER._log10s  # callers add to their copy
 
@@ -151,6 +154,27 @@ def test_only_dimq_names_zero():
     # as log10 -inf and builds the zero a row of it gives, so no other module builds one
     assert [path.name for path in SOURCES if path.name != "dimq.py"
             and "zero" in set(_names_in(path))] == []
+
+
+def test_only_formulas_names_a_default():
+    # an omitted input is one value of the table: environment files a None input
+    # as its DEFAULTS row, so no other module names a default row or files one
+    defaults = {"DEFAULTS", "DEFAULT_HUBBLE", "DEFAULT_AREA", "file_default"}
+    assert [path.name for path in SOURCES if path.name != "formulas.py"
+            and defaults & set(_names_in(path))] == []
+
+
+def test_a_default_row_reads_only_fields_filed_before_it():
+    # environment evaluates a None input's row over the inputs filed before it,
+    # and each record passes its fields in order: the row may read only earlier ones
+    omitted_by = {"hubble": Scenario, "area": SystemSpec}
+    assert set(omitted_by) == set(f.DEFAULTS)
+    for name, record in omitted_by.items():
+        fields = record._fields[:record._fields.index(name)]
+        before = {f.PARAMETER_SYMBOLS[field] for field in fields if field in f.PARAMETER_SYMBOLS}
+        row = f.DEFAULTS[name]
+        read = {term for r in (row, *_nested(row)) for term, _ in r.terms if term in f.INPUT_DIMS}
+        assert read and read <= before, name
 
 
 def _scoped_nodes(path):
@@ -225,8 +249,8 @@ def test_only_formulas_maps_an_input_to_the_symbol_its_rows_read():
         readers |= {scope for scope, node in _scoped_nodes(path) if isinstance(node, ast.Attribute)
                     and node.attr == "_log10s" and _read_name(node.value) != "profile"}
     # the radiation window's one input that is not a monomial; every other
-    # symbol is filled by environment from a parameter name, or by
-    # file_default from a default row, and a derived one (an entropy) is a row
+    # symbol is filled by environment from a parameter name, an omitted one
+    # from its default row, and a derived one (an entropy) is a row
     assert written == [("cosmo.ops_radiation", "tail")]
     # the callers that read a record's inputs from the table its check filed
     assert readers == {"cosmo.full_report", "bounds.system_limits",
