@@ -117,9 +117,7 @@ class SystemSpec(Record):
         object.__setattr__(self, "_log10s", env)
 
     def effective_area(self) -> Quantity:
-        """The area, or R² of the checked radius, as the check filed it for an omitted area."""
-        if self.area is not None:
-            return self.area
+        """The area as the check filed it: the one given, or R² of the checked radius."""
         return f.filed(self._log10s, "area")
 
 

@@ -260,7 +260,7 @@ def bits_holographic(age: Quantity, profile: ConstantsProfile = PAPER) -> Quanti
 def radiation_energy_at(e1: Quantity, t1: Quantity, t0: Quantity) -> Quantity:
     """Energy at earlier time t0 given E1 at t1: E1·(t1/t0)^{1/2}."""
     env = f.environment(None, e1=e1, t1=t1, t0=t0)
-    if t0.log10 > t1.log10:
+    if env["t0"] > env["t"]:
         raise ValueError("t0 must not exceed t1")
     return f.RADIATION_ENERGY_AT.quantity(env)
 
@@ -274,12 +274,12 @@ def ops_radiation(
     count (2E1/πħ)·t1.  Zero at t0 = t1 by exact cancellation.
     """
     env = f.environment(profile, allow_zero=("t0",), e1=e1, t1=t1, t0=t0)
-    if t0.sign > 0 and t0.log10 > t1.log10:
+    gap = env["t0"] - env["t"]
+    if gap > 0:
         raise ValueError("t0 must not exceed t1")
     # 1 − √(t0/t1) from the log gap: expm1 keeps the digits that the
     # subtraction loses as t0 -> t1; the tail is exactly 1 at t0 = 0, where the
     # gap is -inf, and exactly 0 at t0 = t1, filed as log10 -inf: an exact zero
-    gap = -math.inf if t0.sign == 0 else t0.log10 - t1.log10
     tail = -math.expm1(0.5 * _LN10 * gap)
     env["tail"] = math.log10(tail) if tail else -math.inf
     return f.OPS_RADIATION.quantity(env)
@@ -348,8 +348,7 @@ class Scenario(Record):
 
     def _check(self) -> None:
         env = f.environment(None, rho=self.rho, age=self.age, hubble=self.hubble)
-        if self.hubble is None:  # 1/t of the checked age, filed: a rate > 0 by construction
-            object.__setattr__(self, "hubble", f.filed(env, "hubble"))
+        object.__setattr__(self, "hubble", f.filed(env, "hubble"))  # as filed: given, or 1/t
         object.__setattr__(self, "_log10s", env)
         if not isinstance(self.species, SpeciesTable):
             raise TypeError("species must be a SpeciesTable")
@@ -404,12 +403,12 @@ def full_report(scenario: Scenario) -> CapacityReport:
     return CapacityReport(  # by position
         ops,
         ops_c,
-        apply_gravity(ops, scenario.include_gravity),
+        apply_gravity(ops, True) if scenario.include_gravity else ops,
         f.HORIZON_BITS.read(env),
         ops_c,
         f.BLACKBODY_TEMPERATURE.read(env),
         f.HORIZON_ENTROPY.read(env),
-        scenario.matter_radiation_transition,
+        f.MATTER_RADIATION_TRANSITION.read(env),
         _inflation_bounds(env),
         None if growth is None else inflation_total_ops(growth),
         _identities(env),

@@ -461,8 +461,7 @@ def zero(dimension: Dimension = DIMENSIONLESS) -> Quantity:
     return Quantity(0, 0.0, dimension)
 
 
-def make(value: float, dimension: Dimension = DIMENSIONLESS) -> Quantity:
-    return Quantity.from_value(value, dimension)
+make = Quantity.from_value
 
 
 def scalar(value: float) -> Quantity:

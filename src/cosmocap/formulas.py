@@ -20,8 +20,11 @@ and an omitted input, passed as None, as its ``DEFAULTS`` row of the inputs
 filed before it, so it must follow the inputs its row reads.  ``filed`` reads
 an input back, and ``given`` builds one read as a number.  Tests over the
 source check that no other module names an input's dimension or a default
-row, writes a symbol (the radiation tail aside) or calls a row's ``log10``, and
-that outside ``dimq`` only ``cosmo._years`` and the residuals call ``dimq._new``.
+row, writes a symbol (the radiation tail aside) or calls a row's ``log10``,
+that outside ``dimq`` only ``cosmo._years`` and the residuals call ``dimq._new``,
+and that a checked input is read back from its table: of the physics modules,
+only ``cosmo._years`` and ``bounds._bekenstein`` read a Quantity's ``sign`` or
+``log10``, and none tests an H or an area for None.
 
 A row reads every term from its environment, a nested row under the row
 itself: a row of constants alone (the Planck scales, ħc/e², α and the like)
@@ -163,14 +166,18 @@ def environment(
     symbol's ``INPUT_DIMS`` dimension and a value > 0, or >= 0 (a zero filed as
     -inf) for a name in ``allow_zero``; a refusal names the parameter.  An input
     given as None is filed as its ``DEFAULTS`` row, evaluated over the inputs filed
-    before it, so it must follow the inputs its row reads.  A ``species`` table
+    before it, so it must follow the inputs its row reads; a None without such a
+    row, or before those inputs, is a ``TypeError``.  A ``species`` table
     fills ``weight`` after them, so a bad input is named before an empty table.
     """
     env = {} if profile is None else dict(profile._log10s)
     for name, q in inputs.items():
         symbol = PARAMETER_SYMBOLS[name]
         if q is None:  # omitted: its default row, of the inputs filed before it
-            env[symbol] = DEFAULTS[name].log10(env)
+            try:
+                env[symbol] = DEFAULTS[name].log10(env)
+            except KeyError:  # no default row, or one of an input not filed
+                raise TypeError(f"{name} must be a Quantity, not None") from None
             continue
         require(q, INPUT_DIMS[symbol], name, allow_zero=name in allow_zero)
         env[symbol] = q.log10 if q.sign else _ZERO_LOG10

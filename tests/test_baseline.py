@@ -80,6 +80,11 @@ def test_fleet_validation():
             duration=make(1e8, TIME),
             bits_per_computer=scalar(1e12),
         )
+    # a None is refused by name: no field has a default row
+    fields = dict(zip(FleetSpec._fields, default_fleet()._values()))
+    for name in fields:
+        with pytest.raises(TypeError, match=f"^{name} must be a Quantity, not None$"):
+            FleetSpec(**{**fields, name: None})
 
 
 def test_zero_count_allowed_but_zero_memory_rejected():

@@ -240,6 +240,11 @@ def test_system_spec_validation():
     # a bad radius ahead of the omitted area is named before R² would read it
     with pytest.raises(ValueError, match="^radius must be > 0$"):
         SystemSpec(make(1.0, ENERGY), make(1e-20, ENTROPY), zero(LENGTH))
+    # a None is refused by name, unless it is the omitted area
+    with pytest.raises(TypeError, match="^energy must be a Quantity, not None$"):
+        SystemSpec(None, make(1e-20, ENTROPY), make(0.1, LENGTH))
+    with pytest.raises(TypeError, match="^radius must be a Quantity, not None$"):
+        SystemSpec(make(1.0, ENERGY), make(1e-20, ENTROPY), None)
 
 
 def test_system_spec_checks_an_explicit_area():
@@ -254,6 +259,10 @@ def test_system_spec_checks_an_explicit_area():
     limits = system_limits(SystemSpec(**budget, area=area))
     assert limits.holographic_bits == holographic_bits(area)
     assert limits.holographic_bits != holographic_bits(budget["radius"] ** 2)
+    # a given area comes back as the check filed it, on the module's AREA itself
+    area = make(4.0, LENGTH * LENGTH)
+    effective = SystemSpec(**budget, area=area).effective_area()
+    assert effective == area and effective.log10 == area.log10 and effective.dimension is AREA
 
 
 # ------------------------------------------------ cross-path agreement

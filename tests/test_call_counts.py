@@ -118,10 +118,14 @@ def test_sweep_operation_compares_no_dimension():
 
 
 # dimq.require calls: a report reads its scenario's fields, checked when
-# the scenario was built, so it checks only apply_gravity's ops; a public
-# function checks each of its inputs once.
-def test_full_report_checks_only_the_gravity_input():
-    assert _calls(_profiled_report(paper_scenario()), dimq.require.__code__) == 1
+# the scenario was built, so it checks only the ops apply_gravity doubles, and
+# nothing with gravity off; a public function checks each of its inputs once.
+@pytest.mark.parametrize("include_gravity, checks", [(False, 0), (True, 1)],
+                         ids=["gravity-off", "gravity-on"])
+def test_full_report_checks_an_input_only_to_apply_gravity(include_gravity, checks):
+    paper = paper_scenario()
+    scenario = Scenario(paper.rho, paper.age, include_gravity=include_gravity)
+    assert _calls(_profiled_report(scenario), dimq.require.__code__) == checks
 
 
 def test_radiation_functions_check_each_input_once():
@@ -140,10 +144,10 @@ def test_bits_matter_checks_each_input_once():
 
 
 # a command that shows the matter epoch builds one Scenario, which checks rho
-# and age, and reads one full_report, which checks apply_gravity's ops
+# and age, and reads one full_report, which checks nothing with gravity off
 @pytest.mark.parametrize("argv", [["epoch", "matter"], ["report", "--default-paper"]])
 def test_matter_epoch_commands_check_each_input_once(argv):
-    assert _calls(_profiled(lambda: _quiet_main(argv)), dimq.require.__code__) == 3
+    assert _calls(_profiled(lambda: _quiet_main(argv)), dimq.require.__code__) == 2
 
 
 # Monomial.log10 calls, nested rows included, in one paper report: 20,
@@ -273,10 +277,10 @@ def test_algebra_add_of_one_dimension_compares_no_dimension():
 # operation, a paper full_report of a prebuilt scenario, and an in-process
 # `report --default-paper` after a first run has built the CLI's parser.
 MAX_INSTRUCTIONS = {
-    (3, 10): {"sweep": 4772, "full_report": 2030, "report": 10143},  # 4679, 1991, 9945
-    (3, 11): {"sweep": 5121, "full_report": 2179, "report": 10644},  # 5021, 2137, 10436
-    (3, 12): {"sweep": 4688, "full_report": 2013, "report": 9798},  # 4597, 1974, 9606
-    (3, 13): {"sweep": 4414, "full_report": 1839, "report": 9584},  # 4328, 1803, 9397
+    (3, 10): {"sweep": 4751, "full_report": 1950, "report": 10059},  # 4658, 1912, 9862
+    (3, 11): {"sweep": 5079, "full_report": 2099, "report": 10554},  # 4980, 2058, 10348
+    (3, 12): {"sweep": 4654, "full_report": 1938, "report": 9715},  # 4563, 1900, 9525
+    (3, 13): {"sweep": 4323, "full_report": 1761, "report": 9491},  # 4239, 1727, 9305
 }
 
 

@@ -546,6 +546,10 @@ def test_scenario_defaults():
 def test_scenario_explicit_hubble():
     h = make(2.2e-18, RATE)
     assert Scenario(rho=RHO, age=age_today(), hubble=h).hubble == h
+    # a given H comes back as the check filed it, on the module's RATE itself
+    h = make(2.2e-18, DIMENSIONLESS / TIME)
+    hubble = Scenario(rho=RHO, age=age_today(), hubble=h).hubble
+    assert hubble == h and hubble.log10 == h.log10 and hubble.dimension is RATE
 
 
 def test_scenario_validation():
@@ -558,6 +562,11 @@ def test_scenario_validation():
         Scenario(RHO, make(-1.0, TIME))
     with pytest.raises(TypeError):
         Scenario(rho=RHO, age=age_today(), species="photons")
+    # a None is refused by name, unless it is the omitted H
+    with pytest.raises(TypeError, match="^rho must be a Quantity, not None$"):
+        Scenario(None, age_today())
+    with pytest.raises(TypeError, match="^age must be a Quantity, not None$"):
+        Scenario(RHO, None)
 
 
 @pytest.mark.parametrize("field, value, message", [

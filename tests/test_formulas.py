@@ -224,6 +224,26 @@ def test_outside_the_table_no_module_evaluates_a_row():
     assert calls == set()
 
 
+def test_a_checked_input_is_read_back_from_its_table():
+    # an input's value is read from the table environment or a record's check
+    # filed: a zero as -inf, an omitted H or area as its default row.  Only an
+    # age in years (the sign of its count) and the Bekenstein flag (of a row's
+    # ratio) read a Quantity's sign or log10, and no optional input is tested for None
+    readers, omitted = set(), set()
+    for path in SOURCES:
+        if path.stem not in ("cosmo", "bounds", "largenum", "baseline", "constants"):
+            continue
+        for scope, node in _scoped_nodes(path):
+            if (isinstance(node, ast.Attribute) and node.attr in ("sign", "log10")
+                    and _read_name(node.value) != "math"):
+                readers.add(scope)
+            if (isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+                    and _read_name(node.left) in ("hubble", "area")):
+                omitted.add(scope)
+    assert readers == {"cosmo._years", "bounds._bekenstein"}
+    assert omitted == set()
+
+
 def _symbols_written(path):
     """Each (scope, symbol) where ``path`` writes an ``INPUT_DIMS`` key by hand:
     as the key of a dict display, or as the subscript an assignment stores to."""

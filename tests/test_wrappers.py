@@ -1,12 +1,14 @@
 """Every public function's refusal of a bad Quantity input, by parameter name.
 
 Each function of ``cosmo``, ``bounds`` and ``largenum`` that takes
-Quantity inputs refuses a wrong dimension with a ``DimensionError`` and a
-non-positive value with a ``ValueError``, both naming the parameter, and
-with two bad inputs reports the one it checks first.
+Quantity inputs refuses a wrong dimension with a ``DimensionError``, a
+non-positive value with a ``ValueError`` and a None with a ``TypeError``,
+each naming the parameter, and with two bad inputs reports the one it
+checks first.
 """
 
 import inspect
+import math
 from itertools import combinations
 
 import pytest
@@ -15,7 +17,7 @@ from cosmocap import bounds, cosmo, largenum
 from cosmocap.cosmo import PHOTONS_ONLY
 from cosmocap.dimq import (
     AREA, CHARGE2, DIMENSIONLESS, ENERGY, ENTROPY, LENGTH, MASS_DENSITY, RATE, TEMPERATURE,
-    TIME, VOLUME, DimensionError, approx_eq, make, zero,
+    TIME, VOLUME, DimensionError, Quantity, approx_eq, make, zero,
 )
 
 # a valid value of each Quantity parameter, by name
@@ -119,6 +121,13 @@ def test_a_nonpositive_input_is_named(name, param):
             _call(name, **{param: GOOD[param] * make(value)})
 
 
+@pytest.mark.parametrize(("name", "param"), CASES)
+def test_a_none_input_is_named(name, param):
+    # no parameter of a public function has a default row it could file
+    with pytest.raises(TypeError, match=f"^{param} must be a Quantity, not None$"):
+        _call(name, **{param: None})
+
+
 @pytest.mark.parametrize(
     ("name", "first", "second"),
     [(name, a, b) for name in FUNCTIONS for a, b in combinations(_order(name), 2)],
@@ -147,6 +156,14 @@ def test_radiation_window_checks_each_input_before_the_order(name):
             _call(name, **{**late, param: WRONG})
     with pytest.raises(ValueError, match="^t0 must not exceed t1$"):
         _call(name, **late)
+    # the order is exact at adjacent doubles of log10 t1: one above is refused,
+    # t0 = t1 and one below are not, and ops from t0 = t1 are exactly zero
+    t1 = GOOD["t1"]
+    above, below = (Quantity(1, math.nextafter(t1.log10, x), TIME) for x in (math.inf, -math.inf))
+    with pytest.raises(ValueError, match="^t0 must not exceed t1$"):
+        _call(name, t0=above)
+    assert _call(name, t0=below).sign == 1
+    assert _call(name, t0=t1).sign == (0 if name == "ops_radiation" else 1)
 
 
 # the functions that read a species table's weight, after checking their quantities
